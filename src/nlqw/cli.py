@@ -116,6 +116,17 @@ def _apply_set(cfg: dict, assignment: str) -> None:
     node[parts[-1]] = value
 
 
+def _non_finite_paths(node, path: tuple = ()) -> list[tuple]:
+    """Key paths of the NaN and infinite numbers in a parsed config; Python's
+    json reads NaN, Infinity and overflowing literals such as 1e999."""
+    if isinstance(node, float):
+        return [] if math.isfinite(node) else [path]
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [bad for k, v in items for bad in _non_finite_paths(v, path + (k,))]
+    return []
+
+
 def _load_config(path: str | None, sets: list[str]) -> dict:
     cfg: dict = {"schema_version": _SCHEMA_VERSION}
     if path is not None:
@@ -131,6 +142,9 @@ def _load_config(path: str | None, sets: list[str]) -> dict:
         cfg = _deep_merge(cfg, loaded)
     for assignment in sets:
         _apply_set(cfg, assignment)
+    bad = ["/".join(str(k) for k in p) for p in _non_finite_paths(cfg)]
+    if bad:
+        raise ConfigError("config rejected: non-finite number at " + ", ".join(bad))
     if jsonschema is None:
         raise ConfigError("the jsonschema package is required to validate configs")
     validator = jsonschema.Draft202012Validator(_load_schema())
@@ -775,10 +789,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load_config(args.config, args.sets)
         os.makedirs(args.out, exist_ok=True)
         summary = _COMMANDS[args.command](cfg, args.out)
-    except ConfigError as exc:
-        print(f"nlqw: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"nlqw: {exc}", file=sys.stderr)
         return 2
     failed = [c["name"] for c in summary["checks"] if not c["passed"]]

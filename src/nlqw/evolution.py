@@ -161,6 +161,9 @@ def evolve(
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     rec = recorder or Recorder()
+    for t in rec.snapshot_times:
+        if not 0 <= t <= steps:
+            raise ValueError(f"snapshot time {t} is outside [0, {steps}]")
     kern = coin_kernel(spec)
 
     n0 = len(u0)

@@ -11,10 +11,12 @@ p(xi) = arccos(|a| cos xi) and theta_a = arg a.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
+from .coins import c0_from_ab
 from .evolution import linear_step
 from .state import LatticeState, ProbabilityDistribution, finding_probability
 
@@ -40,18 +42,9 @@ __all__ = [
 ]
 
 
-def _check_ab(a: complex, b: complex) -> tuple[complex, complex]:
-    a, b = complex(a), complex(b)
-    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-12:
-        raise ValueError("need |a|^2 + |b|^2 = 1")
-    if not (0.0 < abs(a) < 1.0):
-        raise ValueError("need 0 < |a| < 1")
-    return a, b
-
-
 def symbol(xi: float | np.ndarray, a: complex, b: complex) -> np.ndarray:
     """Symbol U0(xi) of the linear walk, shape (..., 2, 2)."""
-    a, b = _check_ab(a, b)
+    a, b = map(complex, c0_from_ab(a, b)[0])
     xi = np.asarray(xi, dtype=np.float64)
     e = np.exp(1j * xi)
     out = np.empty(xi.shape + (2, 2), dtype=np.complex128)
@@ -131,7 +124,7 @@ def _projection_grid(
 
 def eigenprojections(xi: float, a: complex, b: complex) -> tuple[np.ndarray, np.ndarray]:
     """Rank-one spectral projections of U0(xi) onto the +- branches."""
-    a, b = _check_ab(a, b)
+    a, b = map(complex, c0_from_ab(a, b)[0])
     pi_p, pi_m = _projection_grid(np.asarray(float(xi)), a, b)
     return pi_p, pi_m
 
@@ -148,7 +141,7 @@ class SymbolData:
     b: complex
 
     def __post_init__(self) -> None:
-        a, b = _check_ab(self.a, self.b)
+        a, b = map(complex, c0_from_ab(self.a, self.b)[0])
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -195,7 +188,7 @@ def oscillatory_integral(
     t * s is an integer (the integrand is then 2pi-periodic); reconstruction
     uses s = x / t with integer x.  Guard: N >= 8 t.
     """
-    a, b = _check_ab(a, b)
+    a, b = map(complex, c0_from_ab(a, b)[0])
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
     if t < 0:
@@ -228,7 +221,7 @@ def spectral_propagate(
     wraps, applies exp(+-i t p~(xi)) on the eigenprojections per frequency,
     and returns the full light-cone window.
     """
-    a, b = _check_ab(a, b)
+    a, b = map(complex, c0_from_ab(a, b)[0])
     if t < 0:
         raise ValueError("t must be nonnegative")
     n0 = len(u0)
@@ -302,10 +295,17 @@ class DensityCurve:
 
 
 def _fourier_values(u: LatticeState, eta: np.ndarray) -> np.ndarray:
-    """u^(eta) = sum_x e^{-i x eta} u(x) as an (len(eta), 2) array."""
-    x = u.sites.astype(np.float64)
-    phases = np.exp(-1j * np.outer(eta, x))
-    return phases @ u.amplitudes
+    """u^(eta) = sum_x e^{-i x eta} u(x) as an (len(eta), 2) array.
+
+    Horner's rule in z = e^{-i eta} over the window, then one phase for the
+    window's origin, so memory is O(len(eta)) whatever the window's length.
+    """
+    z = np.exp(-1j * eta)[:, None]
+    acc = np.zeros((len(eta), 2), dtype=np.complex128)
+    for pair in u.amplitudes[::-1]:
+        acc *= z
+        acc += pair
+    return acc * np.exp(-1j * u.origin * eta)[:, None]
 
 
 def _weight_function(
@@ -334,6 +334,26 @@ def _weight_function(
     return 0.5 * w
 
 
+@lru_cache(maxsize=1)
+def _angle_integrand(
+    origin: int, amp_bytes: bytes, a: complex, b: complex
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (phi, density in phi) on 20001 points of [-pi/2, pi/2],
+    where v = |a| sin(phi) removes the edge singularities.  The state enters
+    by value, so one cached entry serves the density and the CDF of a state.
+    """
+    u_plus = LatticeState(origin, np.frombuffer(amp_bytes, np.complex128).reshape(-1, 2))
+    r = abs(a)
+    phi = np.linspace(-np.pi / 2.0, np.pi / 2.0, 20001)
+    vphi = r * np.sin(phi)
+    integrand = _weight_function(u_plus, a, b, vphi) * np.sqrt(1.0 - r * r) / (
+        np.pi * (1.0 - vphi**2)
+    )
+    phi.flags.writeable = False
+    integrand.flags.writeable = False
+    return phi, integrand
+
+
 def weak_limit_density(
     u_plus: LatticeState, a: complex, b: complex, v_grid: np.ndarray | None = None
 ) -> DensityCurve:
@@ -343,7 +363,7 @@ def weak_limit_density(
     total_mass integrates the density with the singularity removed by the
     substitution v = |a| sin(phi); it equals the squared l2 norm of u_plus.
     """
-    a, b = _check_ab(a, b)
+    a, b = map(complex, c0_from_ab(a, b)[0])
     if v_grid is None:
         v_grid = np.linspace(-1.0, 1.0, 2001)
     v_grid = np.asarray(v_grid, dtype=np.float64)
@@ -354,11 +374,7 @@ def weak_limit_density(
         vv = v_grid[inside]
         density[inside] = _weight_function(u_plus, a, b, vv) * konno_density(vv, r)
 
-    phi = np.linspace(-np.pi / 2.0, np.pi / 2.0, 20001)
-    vphi = r * np.sin(phi)
-    integrand = _weight_function(u_plus, a, b, vphi) * np.sqrt(1.0 - r * r) / (
-        np.pi * (1.0 - (r * np.sin(phi)) ** 2)
-    )
+    phi, integrand = _angle_integrand(u_plus.origin, u_plus.amplitudes.tobytes(), a, b)
     total = float(np.trapezoid(integrand, phi))
     return DensityCurve(v_grid, density, total)
 
@@ -368,18 +384,13 @@ def weak_limit_cdf(
 ) -> np.ndarray:
     """Cumulative limit distribution on the given grid, by quadrature in the
     angle variable phi = arcsin(v / |a|) where the density is smooth."""
-    a, b = _check_ab(a, b)
+    a, b = map(complex, c0_from_ab(a, b)[0])
     v_grid = np.asarray(v_grid, dtype=np.float64)
-    r = abs(a)
-    phi = np.linspace(-np.pi / 2.0, np.pi / 2.0, 20001)
-    vphi = r * np.sin(phi)
-    integrand = _weight_function(u_plus, a, b, vphi) * np.sqrt(1.0 - r * r) / (
-        np.pi * (1.0 - vphi**2)
-    )
+    phi, integrand = _angle_integrand(u_plus.origin, u_plus.amplitudes.tobytes(), a, b)
     dphi = phi[1] - phi[0]
     seg = 0.5 * (integrand[1:] + integrand[:-1]) * dphi
     cum = np.concatenate([[0.0], np.cumsum(seg)])
-    phi_query = np.arcsin(np.clip(v_grid / r, -1.0, 1.0))
+    phi_query = np.arcsin(np.clip(v_grid / abs(a), -1.0, 1.0))
     return np.interp(phi_query, phi, cum)
 
 
@@ -455,7 +466,7 @@ def decay_fit(
 def weak_l4_decay_check(a: complex, b: complex, horizon: int) -> np.ndarray:
     """Running max over t <= horizon of <t>^{1/4} times the weak-l4 norm of
     the linear evolution of delta_{1,0}; <t> = sqrt(1 + t^2)."""
-    from .coins import ConstantCoin, c0_from_ab
+    from .coins import ConstantCoin
     from .evolution import Recorder, evolve
     from .state import delta_state
 
@@ -470,7 +481,7 @@ def weak_l4_decay_check(a: complex, b: complex, horizon: int) -> np.ndarray:
 def strichartz_ratio(u0: LatticeState, a: complex, b: complex, horizon: int) -> float:
     """max(sup_t l2, (sum_{t<=T} sup_x ||u(t,x)||^6)^{1/6}) / ||u0||_2 for
     the linear evolution; finite uniformly in T by the dispersive bound."""
-    from .coins import ConstantCoin, c0_from_ab
+    from .coins import ConstantCoin
     from .evolution import Recorder, evolve
     from .state import lp_norm
 

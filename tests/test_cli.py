@@ -91,6 +91,39 @@ class TestConfigValidation:
         assert code == 2
         assert "KEY=VALUE" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "g, sets",
+        [
+            (float("nan"), []),
+            (float("inf"), []),
+            (-0.8, ["--set", "coin.g=NaN"]),
+            (-0.8, ["--set", "coin.g=-Infinity"]),
+            (-0.8, ["--set", "coin.g=1e999"]),
+        ],
+    )
+    def test_non_finite_numbers_are_rejected_before_any_step(
+        self, tmp_path, capsys, g, sets
+    ):
+        cfg = {
+            "schema_version": 1,
+            "coin": {"family": "rotation_power", "theta0": 0.7, "g": g, "p": 2},
+        }
+        code, out, _ = run("simulate", tmp_path, cfg, *sets)
+        assert code == 2
+        assert "non-finite number at coin/g" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_naming_a_file_is_a_clean_error(self, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        cfg = {"schema_version": 1, "coin": HADAMARD_COIN, "steps": 2}
+        code = main(
+            ["simulate", "--config", write_config(tmp_path, cfg), "--out", str(blocker)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("nlqw: ") and "Traceback" not in err
+
     def test_decay_without_its_section(self, tmp_path, capsys):
         cfg = {"schema_version": 1, "initial": {"kind": "delta", "component": 1}}
         code, _, _ = run("decay", tmp_path, cfg)
@@ -126,7 +159,7 @@ class TestSimulate:
                 "scale": [a, 0.0],
             },
             "steps": steps,
-            "record": {"argmax": True, "snapshots": [0, 30]},
+            "record": {"argmax": True, "snapshots": [0, steps // 2]},
         }
 
     def test_traveling_peak_series_and_files(self, tmp_path):
@@ -169,12 +202,20 @@ class TestSimulate:
             (t, -t) for t in range(61)
         ]
 
+    def test_snapshot_beyond_the_run_is_rejected(self, tmp_path, capsys):
+        cfg = self.soliton_cfg(steps=50)
+        cfg["record"]["snapshots"] = [0, 70]
+        code, _, summary = run("simulate", tmp_path, cfg)
+        assert code == 2
+        assert summary is None
+        assert "snapshot time 70" in capsys.readouterr().err
+
     def test_set_flag_overrides_the_file(self, tmp_path):
         code, _, summary = run(
-            "simulate", tmp_path, self.soliton_cfg(), "--set", "steps=5"
+            "simulate", tmp_path, self.soliton_cfg(), "--set", "steps=40"
         )
         assert code == 0
-        assert summary["steps"] == 5
+        assert summary["steps"] == 40
 
     def test_zero_steps_echoes_the_initial_state(self, tmp_path):
         from nlqw import delta_state, l2_distance, save_state_csv, scaled

@@ -208,6 +208,10 @@ class TestEvolve:
         assert l2_distance(traj.snapshots[0], u0) == 0.0
         assert l2_distance(traj.snapshots[7], traj.final) == 0.0
 
+    def test_rejects_snapshot_times_outside_the_run(self):
+        with pytest.raises(ValueError, match="snapshot time 8 "):
+            evolve(delta_state(1, 0), GaltonCoin(0.3), 7, Recorder(snapshot_times=(0, 8)))
+
     def test_threshold_trace_per_step(self):
         spec = soliton_spec()
         a = soliton_amplitude(spec.g, spec.p)

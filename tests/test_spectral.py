@@ -1,5 +1,7 @@
 """Fourier-side analysis: symbol, dispersion, kernels, and limit law."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,7 @@ from nlqw import (
     weak_limit_cdf,
     weak_limit_density,
 )
+from nlqw import spectral
 
 R = 1.0 / np.sqrt(2.0)
 I2 = np.eye(2, dtype=np.complex128)
@@ -296,6 +299,82 @@ class TestWeakLimitDensity:
         emp = empirical_scaled_cdf(traj.final, t, grid)
         theory = weak_limit_cdf(u0, R, R, grid)
         assert kolmogorov_distance(emp, theory) <= 0.03
+
+
+def random_state(n_sites, origin, seed=0):
+    rng = np.random.default_rng(seed)
+    amp = rng.standard_normal((n_sites, 2)) + 1j * rng.standard_normal((n_sites, 2))
+    return LatticeState(origin, amp / np.linalg.norm(amp))
+
+
+def packet_state(sigma=24):
+    """Gaussian packet like the benchmark's weak-limit input, with a complex
+    polarisation and a window starting left of the origin."""
+    x = np.arange(-4 * sigma, 4 * sigma + 1)
+    env = np.exp(-(x * x) / (4.0 * sigma * sigma))
+    env /= np.linalg.norm(env)
+    return LatticeState(-4 * sigma, np.column_stack([0.6 * env, 0.8j * env]))
+
+
+def dense_fourier_values(u, eta):
+    """Reference sum_x e^{-i x eta} u(x) through the full phase matrix."""
+    return np.exp(-1j * np.outer(eta, u.sites.astype(np.float64))) @ u.amplitudes
+
+
+def density_and_cdf(u, a, b, grid):
+    """weak_limit_density and weak_limit_cdf from an empty integrand cache."""
+    spectral._angle_integrand.cache_clear()
+    try:
+        return weak_limit_density(u, a, b, grid), weak_limit_cdf(u, a, b, grid)
+    finally:
+        spectral._angle_integrand.cache_clear()
+
+
+class TestWeakLimitQuadrature:
+    @pytest.mark.parametrize(
+        "n_sites, origin", [(1, -3), (3, 5), (193, -96), (1000, -500)]
+    )
+    def test_fourier_values_match_the_direct_sum(self, n_sites, origin):
+        u = random_state(n_sites, origin, seed=n_sites)
+        eta = np.linspace(-np.pi / 2.0, 3.0 * np.pi / 2.0, 501) - 0.9
+        got = spectral._fourier_values(u, eta)
+        want = dense_fourier_values(u, eta)
+        l1 = np.sum(np.abs(u.amplitudes))
+        assert got.shape == (eta.size, 2)
+        assert np.max(np.abs(got - want)) <= 1e-12 * l1
+
+    @pytest.mark.parametrize("pair", [HADAMARD_PAIR, COMPLEX_PAIR])
+    @pytest.mark.parametrize("state", ["packet", "random"])
+    def test_density_and_cdf_match_the_dense_reference(self, monkeypatch, pair, state):
+        u = packet_state() if state == "packet" else random_state(40, -25)
+        grid = np.linspace(-1.0, 1.0, 2001)
+        curve, cdf = density_and_cdf(u, *pair, grid)
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_fourier_values", dense_fourier_values)
+            ref_curve, ref_cdf = density_and_cdf(u, *pair, grid)
+        assert np.max(np.abs(curve.density - ref_curve.density)) <= 1e-12
+        assert abs(curve.total_mass - ref_curve.total_mass) <= 1e-12
+        assert np.max(np.abs(cdf - ref_cdf)) <= 1e-12
+
+    def test_density_and_cdf_share_one_integrand(self):
+        u = random_state(5, -2)
+        spectral._angle_integrand.cache_clear()
+        weak_limit_density(u, R, R)
+        weak_limit_cdf(u, R, R, np.linspace(-1.0, 1.0, 11))
+        info = spectral._angle_integrand.cache_info()
+        spectral._angle_integrand.cache_clear()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_memory_does_not_grow_with_the_window(self):
+        u = random_state(1000, -500)
+        grid = np.linspace(-1.0, 1.0, 2001)
+        tracemalloc.start()
+        try:
+            density_and_cdf(u, *COMPLEX_PAIR, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestEmpiricalScaledCdf:
