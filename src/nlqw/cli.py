@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -190,24 +189,6 @@ def _recorder_of(cfg: dict) -> Recorder:
     )
 
 
-def _worker_count() -> int:
-    env = os.environ.get("NLQW_THREADS", "").strip()
-    if env:
-        n = int(env)
-        if n < 1:
-            raise ConfigError("NLQW_THREADS must be a positive integer")
-        return n
-    return min(8, os.cpu_count() or 1)
-
-
-def _parallel_map(fn, items: list):
-    workers = _worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # output plumbing
 
@@ -352,7 +333,7 @@ def _cmd_table1(cfg: dict, out: str) -> dict:
             "decaying": decaying,
         }
 
-    results = _parallel_map(run_cell, cells)
+    results = [run_cell(cell) for cell in cells]
 
     rows = [
         ",".join(
@@ -377,7 +358,7 @@ def _cmd_table1(cfg: dict, out: str) -> dict:
 
     checks = [
         _check(
-            f"cell_p{r['p']}_g{_fmt(r['g'])}",
+            f"cell_p{r['p']}_g{r['g']!r}",
             r["matches_theory"] or r["decaying"],
             value=r["measured"],
             theory=r["theory"],
@@ -435,7 +416,7 @@ def _cmd_decay(cfg: dict, out: str) -> dict:
     labels = [r["label"] for r in runs]
     if len(set(labels)) != len(labels):
         raise ConfigError("decay run labels must be unique")
-    outputs = _parallel_map(run_one, runs)
+    outputs = [run_one(run) for run in runs]
 
     files: list[str] = []
     checks: list[dict] = []

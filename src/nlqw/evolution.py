@@ -26,7 +26,7 @@ from .coins import (
     coin_kernel,
     require_unitary,
 )
-from .state import LatticeState, l2_distance, scaled
+from .state import LatticeState, l2_distance, scaled, weak_lp_of_norms
 
 __all__ = [
     "Recorder",
@@ -139,14 +139,6 @@ def _lp_key(p: float) -> str:
     return "lp_inf" if np.isinf(p) else f"lp_{p:g}"
 
 
-def _weak_lp_of(mags: np.ndarray, p: float) -> float:
-    mags = np.sort(mags[mags > 0.0])[::-1]
-    if mags.size == 0:
-        return 0.0
-    k = np.arange(1, mags.size + 1, dtype=np.float64)
-    return float(np.max(mags * k ** (1.0 / p)))
-
-
 def evolve(
     u0: LatticeState,
     spec: CoinSpec,
@@ -179,6 +171,8 @@ def evolve(
     lp_series: dict[float, list[float]] = {p: [] for p in rec.lp}
     wlp_series: dict[float, list[float]] = {p: [] for p in rec.weak_lp}
     argmax_series: list[int] = []
+    edge1: list[complex] = []
+    edge2: list[complex] = []
     traj = Trajectory(initial=u0, final=u0, steps=steps)
     snap_times = set(rec.snapshot_times)
 
@@ -199,7 +193,7 @@ def evolve(
                 else:
                     lp_series[p].append(float(np.sum(norms**p) ** (1.0 / p)))
             for p in rec.weak_lp:
-                wlp_series[p].append(_weak_lp_of(norms, p))
+                wlp_series[p].append(weak_lp_of_norms(norms, p))
             if rec.argmax:
                 argmax_series.append(base + lo + int(np.argmax(norms)))
         if rec.threshold is not None:
@@ -209,8 +203,8 @@ def evolve(
                 (t, base + lo + np.flatnonzero(mags > rec.threshold))
             )
         if rec.left_edge:
-            traj.series.setdefault("_edge1", []).append(complex(u1[lo]))  # type: ignore[arg-type]
-            traj.series.setdefault("_edge2", []).append(complex(u2[lo]))  # type: ignore[arg-type]
+            edge1.append(complex(u1[lo]))
+            edge2.append(complex(u2[lo]))
         if t in snap_times:
             traj.snapshots[t] = LatticeState(
                 base + lo, np.column_stack([a1, a2]).copy()
@@ -237,8 +231,8 @@ def evolve(
     if rec.argmax:
         traj.series["argmax"] = np.asarray(argmax_series, dtype=np.int64)
     if rec.left_edge:
-        traj.series["edge_comp1"] = np.asarray(traj.series.pop("_edge1"))
-        traj.series["edge_comp2"] = np.asarray(traj.series.pop("_edge2"))
+        traj.series["edge_comp1"] = np.asarray(edge1)
+        traj.series["edge_comp2"] = np.asarray(edge2)
     return traj
 
 

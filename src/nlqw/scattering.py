@@ -20,12 +20,13 @@ import numpy as np
 
 from .coins import (
     CoinSpec,
+    ConstantCoin,
     coin_kernel,
     linear_part,
     nonlinear_partial_derivatives,
     require_unitary,
 )
-from .evolution import linear_step, linear_step_inverse
+from .evolution import Recorder, evolve, linear_step, linear_step_inverse
 from .state import LatticeState, combine, delta_state, inner_product, l2_distance
 
 __all__ = [
@@ -55,6 +56,13 @@ def _check_linear_part(spec: CoinSpec, c0: np.ndarray) -> np.ndarray:
     return c0
 
 
+# Forward-window sites (n0 + 2 t_max per run) one lockstep batch may hold.
+# On short windows numpy's per-call cost dominates, so stacking runs pays;
+# once the six (size, runs) buffers outgrow a 2 MiB L2 cache a wide batch
+# runs slower than its runs one at a time.
+_BATCH_SITES = 8192
+
+
 @dataclass
 class _SeriesRun:
     residual: LatticeState
@@ -65,21 +73,30 @@ class _SeriesRun:
 
 
 def _series_run(
-    u0: LatticeState,
+    seeds: list[LatticeState],
     spec: CoinSpec,
     c0: np.ndarray,
     t_max: int,
     tol: float,
     snapshot_times: tuple[int, ...] = (),
-) -> _SeriesRun:
-    """Nonlinear evolution with simultaneous series accumulation.
+) -> list[_SeriesRun]:
+    """Nonlinear evolution with simultaneous series accumulation, one run
+    per seed.
 
-    Runs up to t_max terms; with tol > 0 stops at the first t >= 64 whose
-    trailing 32 term norms sum below tol (raising NonConvergenceError if
-    that never happens).  tol = 0 always uses the full horizon.
+    The seeds share origin and window length and advance in lockstep: each
+    buffer holds one column per run, so a row of sites is contiguous and
+    the coin kernel sees every run's window in one call.  All other
+    arithmetic is elementwise, so each run is bit for bit what it would be
+    alone.  Runs up to t_max terms; with tol > 0 stops at the first
+    t >= 64 where every run's trailing 32 term norms sum below tol
+    (raising NonConvergenceError if that never happens).  tol = 0 always
+    uses the full horizon.
     """
     if t_max < 1:
         raise ValueError("t_max must be positive")
+    origin, n0 = seeds[0].origin, len(seeds[0])
+    if any(s.origin != origin or len(s) != n0 for s in seeds):
+        raise ValueError("batched seeds must share origin and window length")
     c0 = _check_linear_part(spec, c0)
     kern = coin_kernel(spec)
     m = c0  # linear coin entries
@@ -87,36 +104,36 @@ def _series_run(
     h = c0.conj().T
     h00, h01, h10, h11 = h[0, 0], h[0, 1], h[1, 0], h[1, 1]
 
-    n0 = len(u0)
+    runs = len(seeds)
     size = n0 + 4 * t_max + 6
     off = 2 * t_max + 3
-    u1 = np.zeros(size, dtype=np.complex128)
-    u2 = np.zeros(size, dtype=np.complex128)
-    g1 = np.zeros(size, dtype=np.complex128)
-    g2 = np.zeros(size, dtype=np.complex128)
-    k1 = np.zeros(size, dtype=np.complex128)
-    k2 = np.zeros(size, dtype=np.complex128)
+    u1, u2, g1, g2, k1, k2 = (
+        np.zeros((size, runs), dtype=np.complex128) for _ in range(6)
+    )
     lo, hi = off, off + n0
-    u1[lo:hi] = u0.amplitudes[:, 0]
-    u2[lo:hi] = u0.amplitudes[:, 1]
-    base = u0.origin - off
+    u1[lo:hi] = np.column_stack([s.amplitudes[:, 0] for s in seeds])
+    u2[lo:hi] = np.column_stack([s.amplitudes[:, 1] for s in seeds])
+    base = origin - off
 
-    snaps: dict[int, LatticeState] = {}
+    snaps: list[dict[int, LatticeState]] = [{} for _ in seeds]
     want_snap = set(snapshot_times)
 
     def snap(t: int, lo: int, hi: int) -> None:
         if t in want_snap:
-            snaps[t] = LatticeState(
-                base + lo, np.column_stack([u1[lo:hi], u2[lo:hi]]).copy()
-            )
+            for r, out in enumerate(snaps):
+                out[t] = LatticeState(
+                    base + lo, np.column_stack([u1[lo:hi, r], u2[lo:hi, r]])
+                )
 
     snap(0, lo, hi)
-    tails: list[float] = []
+    tails: list[np.ndarray] = []
     stopped = False
     for t in range(t_max):
         a1 = u1[lo:hi]
         a2 = u2[lo:hi]
-        w1, w2 = kern(a1, a2)
+        w1, w2 = kern(a1.reshape(-1), a2.reshape(-1))
+        w1 = w1.reshape(a1.shape)
+        w2 = w2.reshape(a2.shape)
         # series term d_t = C0^{-1} (C(u) - C0) u, with the difference taken
         # in the coin output frame: when the coin has no intensity-dependent
         # part the two multiplications share every operation, so the defect
@@ -125,13 +142,10 @@ def _series_run(
         e2 = w2 - (m10 * a1 + m11 * a2)
         d1 = h00 * e1 + h01 * e2
         d2 = h10 * e1 + h11 * e2
-        tails.append(
-            float(
-                np.sqrt(
-                    np.sum(d1.real**2 + d1.imag**2 + d2.real**2 + d2.imag**2)
-                )
-            )
-        )
+        # each run's squared norms summed as one contiguous row, which keeps
+        # the pairwise summation order of a lone run
+        q = d1.real**2 + d1.imag**2 + d2.real**2 + d2.imag**2
+        tails.append(np.sqrt(np.ascontiguousarray(q.T).sum(axis=1)))
         # Kahan add of d_t into the forward-frame accumulator
         y1 = d1 - k1[lo:hi]
         y2 = d2 - k2[lo:hi]
@@ -157,7 +171,7 @@ def _series_run(
         lo -= 1
         hi += 1
         snap(t + 1, lo, hi)
-        if tol > 0.0 and t + 1 >= 64 and sum(tails[-32:]) < tol:
+        if tol > 0.0 and t + 1 >= 64 and np.all(sum(tails[-32:]) < tol):
             stopped = True
             break
 
@@ -184,14 +198,43 @@ def _series_run(
         g1[lo:hi] = r1
         g2[lo:hi] = r2
 
-    residual = LatticeState(base + lo, np.column_stack([g1[lo:hi], g2[lo:hi]]))
-    return _SeriesRun(
-        residual=residual,
-        tail_norms=np.asarray(tails),
-        horizon_used=terms,
-        stopped_early=stopped,
-        state_snapshots=snaps,
-    )
+    norms = np.asarray(tails)
+    return [
+        _SeriesRun(
+            residual=LatticeState(
+                base + lo, np.column_stack([g1[lo:hi, r], g2[lo:hi, r]])
+            ),
+            tail_norms=norms[:, r].copy(),
+            horizon_used=terms,
+            stopped_early=stopped,
+            state_snapshots=snaps[r],
+        )
+        for r in range(runs)
+    ]
+
+
+def _lockstep_residuals(
+    seeds: list[LatticeState], spec: CoinSpec, c0: np.ndarray, t_max: int
+) -> list[LatticeState]:
+    """Full-horizon residuals of seeds sharing origin and window length,
+    run in equal lockstep chunks within the _BATCH_SITES budget."""
+    width = max(1, _BATCH_SITES // (len(seeds[0]) + 2 * t_max))
+    chunks = -(-len(seeds) // width)
+    step = -(-len(seeds) // chunks)
+    return [
+        run.residual
+        for i in range(0, len(seeds), step)
+        for run in _series_run(seeds[i : i + step], spec, c0, t_max, 0.0)
+    ]
+
+
+def _check_variant(exponent_variant: str) -> None:
+    if exponent_variant not in ("theorem", "proof"):
+        raise ValueError("exponent_variant must be 'theorem' or 'proof'")
+
+
+def _indexed(res: LatticeState, c0: np.ndarray, exponent_variant: str) -> LatticeState:
+    return linear_step_inverse(res, c0) if exponent_variant == "proof" else res
 
 
 def nonlinear_residual(
@@ -209,13 +252,9 @@ def nonlinear_residual(
     exponent_variant "proof" applies one extra inverse linear step to the
     whole sum (the off-by-one alternative indexing of the series).
     """
-    if exponent_variant not in ("theorem", "proof"):
-        raise ValueError("exponent_variant must be 'theorem' or 'proof'")
-    run = _series_run(u0, spec, c0, t_max, tol)
-    res = run.residual
-    if exponent_variant == "proof":
-        res = linear_step_inverse(res, c0)
-    return res
+    _check_variant(exponent_variant)
+    (run,) = _series_run([u0], spec, c0, t_max, tol)
+    return _indexed(run.residual, c0, exponent_variant)
 
 
 def wave_operator(
@@ -278,17 +317,20 @@ def scattering_series(
     )
     if times.size and (times[0] < 1 or times[-1] > horizon):
         raise ValueError("defect times must lie in [1, horizon]")
-    run = _series_run(u0, spec, c0, horizon, 0.0, tuple(int(t) for t in times))
+    sampled = tuple(int(t) for t in times)
+    (run,) = _series_run([u0], spec, c0, horizon, 0.0, sampled)
     u_plus = combine([(1.0, u0), (1.0, run.residual)])
 
-    defects = np.zeros(times.size)
-    v = u_plus
-    next_i = 0
-    for t in range(1, int(times[-1]) + 1 if times.size else 0):
-        v = linear_step(v, c0)
-        if next_i < times.size and t == int(times[next_i]):
-            defects[next_i] = l2_distance(run.state_snapshots[t], v)
-            next_i += 1
+    linear = evolve(
+        u_plus,
+        ConstantCoin(c0),
+        sampled[-1] if sampled else 0,
+        Recorder(snapshot_times=sampled),
+    )
+    defects = np.asarray(
+        [l2_distance(run.state_snapshots[t], linear.snapshots[t]) for t in sampled],
+        dtype=np.float64,
+    )
 
     last_decade = run.tail_norms[run.horizon_used // 10 :]
     converged = bool(np.sum(last_decade) < tol)
@@ -306,8 +348,6 @@ def scattering_series(
 def l5_decay_check(u0: LatticeState, spec: CoinSpec, horizon: int) -> np.ndarray:
     """Series <t>^{4/15} ||u(t)||_{l5} for the nonlinear evolution,
     <t> = sqrt(1 + t^2); bounded for small data."""
-    from .evolution import Recorder, evolve
-
     traj = evolve(u0, spec, horizon, Recorder(lp=(5.0,)))
     t = np.arange(horizon + 1, dtype=np.float64)
     return (1.0 + t * t) ** (2.0 / 15.0) * traj.series["lp_5"]
@@ -338,33 +378,39 @@ def _probe_w0(lam: float, row: int) -> LatticeState:
     return combine([(lam**3, delta_state(1, 0)), (lam**2, delta_state(2, 0))])
 
 
-def _probe_pair(
+def _probe_pairs(
     spec: CoinSpec,
     c0: np.ndarray,
-    lam: float,
-    row: int,
+    keys: list[tuple[float, int]],
     t_max: int,
     exponent_variant: str,
-) -> tuple[complex, complex]:
+) -> dict[tuple[float, int], tuple[complex, complex]]:
     """Both pairings <(W* - U0^{-1} W* U0) w0, delta_{j,0}> for j = 1, 2,
-    scaled by lambda^{-10}.
+    scaled by lambda^{-10}, for each (lambda, row) key.
 
-    The conjugated-minus-plain orientation matters: the series for
-    W* - U0^{-1} W* U0 telescopes to the single t = 0 defect term, so the
-    pairing converges to <(C_hat - I) w0, delta_{j,0}> as lambda -> 0. The
-    opposite orientation converges to its negative.
+    The series from the one-site seeds w0 and from the three-site seeds
+    U0 w0 run as two lockstep batches.  The conjugated-minus-plain
+    orientation matters: the series for W* - U0^{-1} W* U0 telescopes to
+    the single t = 0 defect term, so the pairing converges to
+    <(C_hat - I) w0, delta_{j,0}> as lambda -> 0. The opposite orientation
+    converges to its negative.
     """
-    w0 = _probe_w0(lam, row)
-    n_shift = nonlinear_residual(
-        linear_step(w0, c0), spec, c0, 0.0, t_max, exponent_variant
-    )
-    n_base = nonlinear_residual(w0, spec, c0, 0.0, t_max, exponent_variant)
-    diff = combine([(1.0, n_base), (-1.0, linear_step_inverse(n_shift, c0))])
-    scale = lam**-10
-    return (
-        scale * inner_product(diff, delta_state(1, 0)),
-        scale * inner_product(diff, delta_state(2, 0)),
-    )
+    _check_variant(exponent_variant)
+    seeds = [_probe_w0(lam, row) for lam, row in keys]
+    bases = _lockstep_residuals(seeds, spec, c0, t_max)
+    shifted = [linear_step(w0, c0) for w0 in seeds]
+    shifts = _lockstep_residuals(shifted, spec, c0, t_max)
+    out = {}
+    for key, n_base, n_shift in zip(keys, bases, shifts):
+        n_base = _indexed(n_base, c0, exponent_variant)
+        n_shift = _indexed(n_shift, c0, exponent_variant)
+        diff = combine([(1.0, n_base), (-1.0, linear_step_inverse(n_shift, c0))])
+        scale = key[0] ** -10
+        out[key] = (
+            scale * inner_product(diff, delta_state(1, 0)),
+            scale * inner_product(diff, delta_state(2, 0)),
+        )
+    return out
 
 
 def _check_probe_args(spec: CoinSpec, lam: float, row: int, j: int) -> None:
@@ -388,8 +434,8 @@ def recovery_probe(
     <(W* - U0^{-1} W* U0) w0, delta_{j,0}> with w0 the row-specific
     two-site seed lambda^2 delta_1 + lambda^3 delta_2 (rows swapped for 2)."""
     _check_probe_args(spec, lam, row, j)
-    pair = _probe_pair(spec, c0, lam, row, t_max, exponent_variant)
-    return pair[j - 1]
+    pairs = _probe_pairs(spec, c0, [(lam, row)], t_max, exponent_variant)
+    return pairs[(lam, row)][j - 1]
 
 
 @dataclass
@@ -437,46 +483,37 @@ def _assemble(
     return m1, m2
 
 
-def _probe_matrix(
-    spec: CoinSpec,
-    c0: np.ndarray,
-    lam: float,
-    t_max: int,
-    exponent_variant: str,
-    cache: dict[float, np.ndarray] | None = None,
-) -> np.ndarray:
-    """All four probes at one lambda as a (row, j) matrix."""
-    if cache is not None and lam in cache:
-        return cache[lam]
-    out = np.empty((2, 2), dtype=np.complex128)
-    for row in (1, 2):
-        p1, p2 = _probe_pair(spec, c0, lam, row, t_max, exponent_variant)
-        out[row - 1, 0] = p1
-        out[row - 1, 1] = p2
-    if cache is not None:
-        cache[lam] = out
-    return out
-
-
 def _op_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
-def recover_derivatives(
+def _rung_probes(
     spec: CoinSpec,
     c0: np.ndarray,
+    lams: tuple[float, ...],
+    t_max: int,
+    exponent_variant: str,
+) -> dict[tuple[float, int], tuple[complex, complex]]:
+    """Probe pairs of the rungs lams keyed by (lambda, row), probing each
+    distinct lambda of lams and 2 lams once."""
+    for lam in lams:
+        _check_probe_args(spec, lam, 1, 1)
+        if not (2.0 * lam <= _PROBE_LAMBDA_MAX):
+            raise ValueError("need 2*lambda within the probe domain")
+    amps = dict.fromkeys(x for lam in lams for x in (lam, 2.0 * lam))
+    keys = [(x, row) for x in amps for row in (1, 2)]
+    return _probe_pairs(spec, c0, keys, t_max, exponent_variant)
+
+
+def _rung(
+    spec: CoinSpec,
     lam: float,
-    t_max: int = 2048,
-    exponent_variant: str = "theorem",
-    _cache: dict[float, np.ndarray] | None = None,
+    probes: dict[tuple[float, int], tuple[complex, complex]],
 ) -> RecoveryResult:
-    """Estimate both partial derivatives of the squared-intensity factor at
-    zero from probes at lambda and 2 lambda; errors are O(lambda^3)."""
-    _check_probe_args(spec, lam, 1, 1)
-    if not (2.0 * lam <= _PROBE_LAMBDA_MAX):
-        raise ValueError("need 2*lambda within the probe domain")
-    l_lam = _probe_matrix(spec, c0, lam, t_max, exponent_variant, _cache)
-    l_2lam = _probe_matrix(spec, c0, 2.0 * lam, t_max, exponent_variant, _cache)
+    l_lam, l_2lam = (
+        np.array([probes[(x, 1)], probes[(x, 2)]], dtype=np.complex128)
+        for x in (lam, 2.0 * lam)
+    )
     m1, m2 = _assemble(lam, l_lam, l_2lam)
     t1, t2 = nonlinear_partial_derivatives(spec)
     return RecoveryResult(
@@ -490,6 +527,19 @@ def recover_derivatives(
         error1=_op_norm(m1 - t1),
         error2=_op_norm(m2 - t2),
     )
+
+
+def recover_derivatives(
+    spec: CoinSpec,
+    c0: np.ndarray,
+    lam: float,
+    t_max: int = 2048,
+    exponent_variant: str = "theorem",
+) -> RecoveryResult:
+    """Estimate both partial derivatives of the squared-intensity factor at
+    zero from probes at lambda and 2 lambda; errors are O(lambda^3)."""
+    probes = _rung_probes(spec, c0, (lam,), t_max, exponent_variant)
+    return _rung(spec, lam, probes)
 
 
 @dataclass
@@ -517,7 +567,8 @@ def recovery_ladder(
 ) -> RecoveryReport:
     """Run recover_derivatives down a lambda ladder, sharing probes between
     rungs (the 2 lambda probes of one rung are the lambda probes of the rung
-    above), and fit the error order in lambda.
+    above), and fit the error order in lambda.  Every distinct probe series
+    of the ladder runs in the same lockstep batches.
 
     A zero nonlinearity yields exactly zero errors, which cannot be fit;
     the order is reported as inf in that case.
@@ -527,11 +578,8 @@ def recovery_ladder(
         raise ValueError("ladder needs at least two rungs")
     if any(not (0 < x) for x in lams):
         raise ValueError("ladder values must be positive")
-    cache: dict[float, np.ndarray] = {}
-    results = [
-        recover_derivatives(spec, c0, lam, t_max, exponent_variant, cache)
-        for lam in lams
-    ]
+    probes = _rung_probes(spec, c0, lams, t_max, exponent_variant)
+    results = [_rung(spec, lam, probes) for lam in lams]
     errs = np.asarray([r.error for r in results])
     if np.all(errs > 0):
         lx = np.log10(np.asarray(lams))

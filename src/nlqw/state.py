@@ -193,8 +193,12 @@ def weak_lp_norm(u: LatticeState, p: float) -> float:
     """
     if not (p >= 1) or np.isinf(p):
         raise ValueError("p must be finite and >= 1")
-    mags = u.site_norms()
-    mags = np.sort(mags[mags > 0.0])[::-1]
+    return weak_lp_of_norms(u.site_norms(), p)
+
+
+def weak_lp_of_norms(norms: np.ndarray, p: float) -> float:
+    """weak_lp_norm from precomputed site norms (p already validated)."""
+    mags = np.sort(norms[norms > 0.0])[::-1]
     if mags.size == 0:
         return 0.0
     k = np.arange(1, mags.size + 1, dtype=np.float64)

@@ -62,6 +62,13 @@ class TestConfigValidation:
         assert "nlqw:" in err
         assert "at (root)" in err
 
+    def test_dropped_decaying_tolerance_key_is_rejected(self, tmp_path, capsys):
+        table1 = {"steps": 10, "decaying_tolerance": 0.1}
+        cfg = {"schema_version": 1, "table1": table1}
+        code, _, _ = run("table1", tmp_path, cfg)
+        assert code == 2
+        assert "at table1" in capsys.readouterr().err
+
     def test_wrong_schema_version_is_rejected(self, tmp_path, capsys):
         cfg = {"schema_version": 2, "coin": HADAMARD_COIN}
         code, _, _ = run("simulate", tmp_path, cfg)
@@ -254,8 +261,7 @@ class TestSimulate:
 
 
 class TestTable1:
-    def test_small_grid_matches_and_flags_decay(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NLQW_THREADS", "2")
+    def test_small_grid_matches_and_flags_decay(self, tmp_path):
         cfg = {
             "schema_version": 1,
             "table1": {
@@ -297,12 +303,37 @@ class TestTable1:
         _, _, pooled = run("table1", tmp_path, cfg, out_name="pooled")
         assert serial["cells"] == pooled["cells"]
 
-    def test_rejects_bad_worker_count(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("NLQW_THREADS", "0")
-        cfg = {"schema_version": 1, "table1": {"steps": 10}}
-        code, _, _ = run("table1", tmp_path, cfg)
-        assert code == 2
-        assert "NLQW_THREADS" in capsys.readouterr().err
+    def test_output_ignores_nlqw_threads(self, tmp_path, monkeypatch):
+        cfg = {
+            "schema_version": 1,
+            "table1": {
+                "steps": 200,
+                "cells": [{"p": 1, "g": -0.8}, {"p": 2, "g": 0.8}],
+            },
+        }
+        outputs = []
+        for value in (None, "1", "0", "abc"):
+            if value is None:
+                monkeypatch.delenv("NLQW_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("NLQW_THREADS", value)
+            code, out, _ = run("table1", tmp_path, cfg, out_name=f"out_{value}")
+            outputs.append((code, {p.name: p.read_bytes() for p in out.iterdir()}))
+        assert all(o == outputs[0] for o in outputs[1:])
+
+    def test_check_names_use_the_short_repr(self, tmp_path):
+        cfg = {
+            "schema_version": 1,
+            "table1": {
+                "steps": 10,
+                "cells": [{"p": 1, "g": 0.8}, {"p": 2, "g": -1.0}],
+            },
+        }
+        _, out, summary = run("table1", tmp_path, cfg)
+        names = [c["name"] for c in summary["checks"]]
+        assert names == ["cell_p1_g0.8", "cell_p2_g-1.0"]
+        _, rows = read_csv(out / "table1.csv")
+        assert rows[0][1] == "0.80000000000000004"
 
     def test_rejects_zero_coupling_cell(self, tmp_path, capsys):
         cfg = {

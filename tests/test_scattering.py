@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import nlqw.scattering as scattering
 from nlqw import (
     ComposedCoin,
     ConstantCoin,
@@ -14,6 +15,7 @@ from nlqw import (
     combine,
     delta_state,
     dlambda,
+    LatticeState,
     inner_product,
     l2_distance,
     l5_decay_check,
@@ -288,3 +290,88 @@ class TestRecoveryLadder:
             recovery_ladder(QUINTIC, C0, lams=(0.2,))
         with pytest.raises(ValueError):
             recovery_ladder(QUINTIC, C0, lams=(0.2, -0.1))
+
+
+def lockstep_seeds(runs: int, sites: int):
+    """Distinct small seeds on a shared window: one-site seeds, or their
+    three-site images U0 w0."""
+    rng = np.random.default_rng(runs)
+    seeds = []
+    for _ in range(runs):
+        amp = 0.3 * (rng.standard_normal((1, 2)) + 1j * rng.standard_normal((1, 2)))
+        w0 = LatticeState(0, amp)
+        seeds.append(w0 if sites == 1 else linear_step(w0, C0))
+    return seeds
+
+
+def window_sum(n0: int, steps: int) -> int:
+    return steps * n0 + steps * (steps - 1)
+
+
+class TestLockstepBatches:
+    @pytest.mark.parametrize("sites", [1, 3])
+    @pytest.mark.parametrize("runs", [1, 3, 8])
+    def test_each_run_matches_its_lone_run_bitwise(self, runs, sites):
+        seeds = lockstep_seeds(runs, sites)
+        batch = scattering._series_run(seeds, QUINTIC, C0, 37, 0.0)
+        for seed, got in zip(seeds, batch):
+            (alone,) = scattering._series_run([seed], QUINTIC, C0, 37, 0.0)
+            assert got.residual.origin == alone.residual.origin
+            amp = got.residual.amplitudes
+            assert amp.tobytes() == alone.residual.amplitudes.tobytes()
+            assert got.tail_norms.tobytes() == alone.tail_norms.tobytes()
+
+    def test_chunked_batches_match_lone_runs(self, monkeypatch):
+        seeds = lockstep_seeds(8, 3)
+        # room for three runs per chunk: chunks of 3, 3 and 2
+        monkeypatch.setattr(scattering, "_BATCH_SITES", 3 * (3 + 2 * 21))
+        got = scattering._lockstep_residuals(seeds, QUINTIC, C0, 21)
+        for seed, res in zip(seeds, got):
+            alone = nonlinear_residual(seed, QUINTIC, C0, t_max=21)
+            assert res.origin == alone.origin
+            assert res.amplitudes.tobytes() == alone.amplitudes.tobytes()
+
+    def test_rejects_seeds_on_different_windows(self):
+        seeds = [lockstep_seeds(1, 1)[0], lockstep_seeds(1, 3)[0]]
+        with pytest.raises(ValueError):
+            scattering._series_run(seeds, QUINTIC, C0, 8, 0.0)
+
+    @pytest.mark.parametrize("variant", ["theorem", "proof"])
+    def test_ladder_probes_match_single_probes_bitwise(self, variant):
+        report = recovery_ladder(
+            QUINTIC, C0, lams=(0.2, 0.1), t_max=48, exponent_variant=variant
+        )
+        for res in report.results:
+            rungs = ((res.lam, res.probes_lam), (2.0 * res.lam, res.probes_2lam))
+            for lam, probes in rungs:
+                single = np.array(
+                    [
+                        [
+                            recovery_probe(QUINTIC, C0, lam, row, j, 48, variant)
+                            for j in (1, 2)
+                        ]
+                        for row in (1, 2)
+                    ]
+                )
+                assert probes.tobytes() == single.tobytes()
+
+    def test_ladder_hands_the_kernel_only_live_windows(self, monkeypatch):
+        sites = []
+        real = scattering.coin_kernel
+
+        def counting_kernel(spec):
+            kern = real(spec)
+
+            def counted(u1, u2):
+                sites.append(len(u1))
+                return kern(u1, u2)
+
+            return counted
+
+        monkeypatch.setattr(scattering, "coin_kernel", counting_kernel)
+        t_max = 33
+        recovery_ladder(QUINTIC, C0, lams=(0.2, 0.1), t_max=t_max)
+        # lambdas 0.2, 0.1 and 0.4, two rows each: six runs per seed window
+        assert sum(sites) == 6 * (window_sum(1, t_max) + window_sum(3, t_max))
+        # one kernel call per step for each seed window's batch
+        assert len(sites) == 2 * t_max
