@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from typing import Iterable
 
 import numpy as np
 
@@ -197,7 +198,8 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_csv(path: str, header: str, rows: list[str]) -> None:
+def _write_csv(path: str, header: str, rows: Iterable[str]) -> None:
+    """Write header and rows; rows may be a generator, formatted as written."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
         for row in rows:
@@ -207,9 +209,9 @@ def _write_csv(path: str, header: str, rows: list[str]) -> None:
 def _series_csv(out: str, name: str, values: np.ndarray, header: str) -> str:
     path = os.path.join(out, f"series_{name}.csv")
     if np.issubdtype(values.dtype, np.integer):
-        rows = [f"{t},{int(v)}" for t, v in enumerate(values)]
+        rows = (f"{t},{int(v)}" for t, v in enumerate(values))
     else:
-        rows = [f"{t},{_fmt(float(v))}" for t, v in enumerate(values)]
+        rows = (f"{t},{_fmt(float(v))}" for t, v in enumerate(values))
     _write_csv(path, header, rows)
     return f"series_{name}.csv"
 
@@ -264,9 +266,7 @@ def _cmd_simulate(cfg: dict, out: str) -> dict:
         header = "t,x" if name == "argmax" else "t,value"
         files.append(_series_csv(out, name, series, header))
     if rec.threshold is not None:
-        rows = []
-        for t, sites in traj.threshold_trace:
-            rows.extend(f"{t},{int(x)}" for x in sites)
+        rows = (f"{t},{int(x)}" for t, sites in traj.threshold_trace for x in sites)
         _write_csv(os.path.join(out, "threshold_trace.csv"), "t,x", rows)
         files.append("threshold_trace.csv")
     for t in sorted(traj.snapshots):
@@ -335,7 +335,7 @@ def _cmd_table1(cfg: dict, out: str) -> dict:
 
     results = [run_cell(cell) for cell in cells]
 
-    rows = [
+    rows = (
         ",".join(
             [
                 str(r["p"]),
@@ -348,7 +348,7 @@ def _cmd_table1(cfg: dict, out: str) -> dict:
             ]
         )
         for r in results
-    ]
+    )
     _write_csv(
         os.path.join(out, "table1.csv"),
         "p,g,theory,measured,abs_error,matches_theory,decaying",
@@ -426,7 +426,7 @@ def _cmd_decay(cfg: dict, out: str) -> dict:
         _write_csv(
             os.path.join(out, csv_name),
             "t,value",
-            [f"{t},{_fmt(float(series[t]))}" for t in range(1, steps + 1)],
+            (f"{t},{_fmt(float(series[t]))}" for t in range(1, steps + 1)),
         )
         files.append(csv_name)
         fit_name = f"fit_{label}.json"
@@ -519,21 +519,13 @@ def _cmd_weak_limit(cfg: dict, out: str) -> dict:
     mass = float(curve.total_mass)
     mass_target = float(lp_norm(u0, 2.0)) ** 2
 
-    _write_csv(
-        os.path.join(out, "density.csv"),
-        "v,density",
-        [f"{_fmt(float(v))},{_fmt(float(d))}" for v, d in zip(v_grid, curve.density)],
-    )
-    _write_csv(
-        os.path.join(out, "empirical_cdf.csv"),
-        "v,cdf",
-        [f"{_fmt(float(v))},{_fmt(float(c))}" for v, c in zip(v_grid, empirical)],
-    )
-    _write_csv(
-        os.path.join(out, "theory_cdf.csv"),
-        "v,cdf",
-        [f"{_fmt(float(v))},{_fmt(float(c))}" for v, c in zip(v_grid, theory)],
-    )
+    for name, header, values in (
+        ("density.csv", "v,density", curve.density),
+        ("empirical_cdf.csv", "v,cdf", empirical),
+        ("theory_cdf.csv", "v,cdf", theory),
+    ):
+        rows = (f"{_fmt(float(v))},{_fmt(float(y))}" for v, y in zip(v_grid, values))
+        _write_csv(os.path.join(out, name), header, rows)
     files = ["density.csv", "empirical_cdf.csv", "theory_cdf.csv"]
 
     checks = [
@@ -590,12 +582,14 @@ def _cmd_scatter(cfg: dict, out: str) -> dict:
     report = scattering_series(u0, spec, c0, horizon, defect_times, tol)
 
     sampled = {int(t): float(d) for t, d in zip(report.defect_times, report.defect_series)}
-    rows = []
-    for t in range(horizon + 1):
-        tail = _fmt(float(report.tail_norms[t])) if t < report.tail_norms.size else ""
-        defect = _fmt(sampled[t]) if t in sampled else ""
-        rows.append(f"{t},{tail},{defect}")
-    _write_csv(os.path.join(out, "scattering.csv"), "t,tail_norm,defect", rows)
+
+    def rows():
+        for t in range(horizon + 1):
+            tail = _fmt(float(report.tail_norms[t])) if t < report.tail_norms.size else ""
+            defect = _fmt(sampled[t]) if t in sampled else ""
+            yield f"{t},{tail},{defect}"
+
+    _write_csv(os.path.join(out, "scattering.csv"), "t,tail_norm,defect", rows())
     save_state_csv(report.u_plus, os.path.join(out, "u_plus.csv"))
     files = ["scattering.csv", "u_plus.csv"]
 
@@ -676,7 +670,7 @@ def _cmd_recover(cfg: dict, out: str) -> dict:
     _write_csv(
         os.path.join(out, "recovery_errors.csv"),
         "lambda,error",
-        [f"{_fmt(lam)},{_fmt(err)}" for lam, err in zip(report.lams, errors)],
+        (f"{_fmt(lam)},{_fmt(err)}" for lam, err in zip(report.lams, errors)),
     )
     files = ["recovery.json", "recovery_errors.csv"]
 
@@ -772,6 +766,9 @@ def main(argv: list[str] | None = None) -> int:
         summary = _COMMANDS[args.command](cfg, args.out)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"nlqw: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"nlqw: out of memory: {exc}", file=sys.stderr)
         return 2
     failed = [c["name"] for c in summary["checks"] if not c["passed"]]
     if failed:

@@ -337,11 +337,17 @@ def coin_kernel(spec: CoinSpec) -> Callable[[np.ndarray, np.ndarray], tuple[np.n
             c = 0.5 * (alpha + delta)
             w = 0.5 * (alpha - delta)
             rho = np.hypot(w, np.abs(beta))
-            sinc = np.sinc(rho / np.pi)
-            phase = np.exp(1j * c)
+            # np.sinc(rho / pi) with np.sinc's own arithmetic and zero guard,
+            # and exp(1j * c) as cos + i sin, which gives the same bits.
+            y = np.pi * (rho / np.pi)
+            y[y == 0] = 1e-20
+            isinc = 1j * (np.sin(y) / y)
+            phase = np.empty(c.shape, dtype=np.complex128)
+            np.cos(c, out=phase.real)
+            np.sin(c, out=phase.imag)
             cosr = np.cos(rho)
-            v1 = phase * (cosr * u1 + 1j * sinc * (w * u1 + beta * u2))
-            v2 = phase * (cosr * u2 + 1j * sinc * (np.conj(beta) * u1 - w * u2))
+            v1 = phase * (cosr * u1 + isinc * (w * u1 + beta * u2))
+            v2 = phase * (cosr * u2 + isinc * (np.conj(beta) * u1 - w * u2))
             return v1, v2
 
         return kern_quintic

@@ -308,6 +308,11 @@ def _fourier_values(u: LatticeState, eta: np.ndarray) -> np.ndarray:
     return acc * np.exp(-1j * u.origin * eta)[:, None]
 
 
+# Velocity points per block of _weight_function: the working set is a few
+# (block, 2, 2) complex arrays, whatever the grid's length.
+_BLOCK = 2048
+
+
 def _weight_function(
     u_plus: LatticeState, a: complex, b: complex, v: np.ndarray
 ) -> np.ndarray:
@@ -320,17 +325,22 @@ def _weight_function(
     theta_a = float(np.angle(a))
     mod_a, mod_b = abs(a), abs(b)
     v = np.asarray(v, dtype=np.float64)
-    arg = np.clip(mod_b * v / (mod_a * np.sqrt(1.0 - v * v)), -1.0, 1.0)
     w = np.zeros_like(v)
-    for branch_sign in (1.0, -1.0):
-        for m in (0, 1):
-            root = m * np.pi + np.arcsin(-branch_sign * (-1.0) ** m * arg)
-            eta = root - theta_a
-            uhat = _fourier_values(u_plus, eta)
-            pi_p, pi_m = _projection_grid(eta, a, b)
-            q = pi_p if branch_sign > 0 else pi_m
-            qu = np.einsum("kij,kj->ki", q, uhat)
-            w += np.real(np.einsum("ki,ki->k", np.conj(uhat), qu))
+    # Every operation is pointwise in v, so blocks of _BLOCK points bound the
+    # working set without changing a bit of the result.
+    for lo in range(0, len(v), _BLOCK):
+        vb = v[lo : lo + _BLOCK]
+        wb = w[lo : lo + _BLOCK]
+        arg = np.clip(mod_b * vb / (mod_a * np.sqrt(1.0 - vb * vb)), -1.0, 1.0)
+        for branch_sign in (1.0, -1.0):
+            for m in (0, 1):
+                root = m * np.pi + np.arcsin(-branch_sign * (-1.0) ** m * arg)
+                eta = root - theta_a
+                uhat = _fourier_values(u_plus, eta)
+                pi_p, pi_m = _projection_grid(eta, a, b)
+                q = pi_p if branch_sign > 0 else pi_m
+                qu = np.einsum("kij,kj->ki", q, uhat)
+                wb += np.real(np.einsum("ki,ki->k", np.conj(uhat), qu))
     return 0.5 * w
 
 

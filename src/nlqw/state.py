@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 STATE_CSV_HEADER = "x,re_u1,im_u1,re_u2,im_u2"
+_CSV_BLOCK = 256  # sites per tolist() block in save_state_csv
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,15 +245,16 @@ def threshold_positions(u: LatticeState, component: int, gamma: float) -> np.nda
 
 def save_state_csv(u: LatticeState, path: str) -> None:
     """Write the window as CSV rows x, re_u1, im_u1, re_u2, im_u2."""
-    a = u.amplitudes
+    # The (n, 2) complex window viewed as (n, 4) floats is one row per site.
+    # Python floats format faster than numpy scalars; converting a block at a
+    # time keeps their lists (about 200 bytes a site) off the peak memory.
+    rows = u.amplitudes.view(np.float64)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(STATE_CSV_HEADER + "\n")
-        for i, x in enumerate(u.sites):
-            row = (
-                f"{x:d},{a[i, 0].real:.17g},{a[i, 0].imag:.17g},"
-                f"{a[i, 1].real:.17g},{a[i, 1].imag:.17g}"
-            )
-            fh.write(row + "\n")
+        for lo in range(0, len(rows), _CSV_BLOCK):
+            block = rows[lo : lo + _CSV_BLOCK].tolist()
+            for x, (r1, i1, r2, i2) in enumerate(block, u.origin + lo):
+                fh.write(f"{x:d},{r1:.17g},{i1:.17g},{r2:.17g},{i2:.17g}\n")
 
 
 def load_state_csv(path: str) -> LatticeState:

@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from nlqw import load_state_csv, soliton_amplitude
+from nlqw import cli, load_state_csv, soliton_amplitude
 from nlqw.cli import main
 
 R = 1.0 / math.sqrt(2.0)
@@ -130,6 +130,17 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("nlqw: ") and "Traceback" not in err
+
+    def test_out_of_memory_is_a_clean_error(self, tmp_path, capsys, monkeypatch):
+        def evolve_without_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.5 TiB for an array")
+
+        monkeypatch.setattr(cli, "evolve", evolve_without_memory)
+        cfg = {"schema_version": 1, "coin": HADAMARD_COIN, "steps": 2}
+        code, _, _ = run("simulate", tmp_path, cfg)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "nlqw: out of memory: Unable to allocate 1.5 TiB for an array\n"
 
     def test_decay_without_its_section(self, tmp_path, capsys):
         cfg = {"schema_version": 1, "initial": {"kind": "delta", "component": 1}}

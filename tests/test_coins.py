@@ -27,6 +27,7 @@ from nlqw import (
     rotation,
     scaled,
 )
+from nlqw.coins import coin_kernel
 
 I2 = np.eye(2, dtype=np.complex128)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -190,6 +191,63 @@ class TestApplyCoin:
         lhs = apply_coin(spec, scaled(u, phase))
         rhs = scaled(apply_coin(spec, u), phase)
         assert l2_distance(lhs, rhs) <= 1e-12
+
+
+def np_sinc_quintic_kernel(spec: QuinticExponentialCoin):
+    """The quintic kernel as written with np.sinc and np.exp, kept as the
+    reference for the inlined one."""
+    a1_00, a1_01, a1_11 = spec.a1[0, 0].real, spec.a1[0, 1], spec.a1[1, 1].real
+    a2_00, a2_01, a2_11 = spec.a2[0, 0].real, spec.a2[0, 1], spec.a2[1, 1].real
+
+    def kern(u1, u2):
+        r1 = (u1.real**2 + u1.imag**2) ** 2
+        r2 = (u2.real**2 + u2.imag**2) ** 2
+        alpha = r1 * a1_00 + r2 * a2_00
+        delta = r1 * a1_11 + r2 * a2_11
+        beta = r1 * a1_01 + r2 * a2_01
+        c = 0.5 * (alpha + delta)
+        w = 0.5 * (alpha - delta)
+        rho = np.hypot(w, np.abs(beta))
+        sinc = np.sinc(rho / np.pi)
+        phase = np.exp(1j * c)
+        cosr = np.cos(rho)
+        v1 = phase * (cosr * u1 + 1j * sinc * (w * u1 + beta * u2))
+        v2 = phase * (cosr * u2 + 1j * sinc * (np.conj(beta) * u1 - w * u2))
+        return v1, v2
+
+    return kern
+
+
+class TestQuinticKernel:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bits_match_the_np_sinc_kernel(self, seed):
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+        h = h + np.conj(np.swapaxes(h, 1, 2))
+        # Traces of opposite sign give a phase c of both signs, unlike the
+        # shipped coin, where c cancels to zero.
+        for k, trace in ((0, 6.0), (1, -6.0)):
+            h[k] += (trace - np.trace(h[k]).real) / 2.0 * np.eye(2)
+        h *= rng.uniform(1.0, 20.0)
+        spec = QuinticExponentialCoin(h[0], h[1])
+        n = 120_000
+        u = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        u *= rng.uniform(0.01, 2.0, size=n)
+        u[:, :1000] = 0.0
+        u[:, 1000:2000] = 5e-324 + 5e-324j
+        u[0, 2000:3000] = -5e-324j
+        u[1, 3000:4000] = 1e-160
+        c = np.abs(u[0]) ** 4 * (h[0, 0, 0] + h[0, 1, 1]).real
+        c += np.abs(u[1]) ** 4 * (h[1, 0, 0] + h[1, 1, 1]).real
+        assert np.any(c > 0) and np.any(c < 0)
+        kern, ref = coin_kernel(spec), np_sinc_quintic_kernel(spec)
+        # Whole arrays, and windows on both sides of numpy's 256 KiB
+        # temporary-elision threshold (16384 complex sites).
+        for size in (n, 16383, 16384, 1000):
+            got = kern(u[0, :size].copy(), u[1, :size].copy())
+            want = ref(u[0, :size].copy(), u[1, :size].copy())
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
 
 
 class TestNonlinearDeviation:

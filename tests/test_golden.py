@@ -41,6 +41,17 @@ CASES = {
         "weak_limit.json",
         ['initial={"kind": "csv", "path": "{packet}"}', "weak_limit.time=1000"],
     ),
+    # 3535 density points inside |v| < |a|, so the weight function spans
+    # several of spectral._BLOCK's blocks.
+    "weak_limit_packet_fine": (
+        "weak-limit",
+        "weak_limit.json",
+        [
+            'initial={"kind": "csv", "path": "{packet}"}',
+            "weak_limit.time=1000",
+            "weak_limit.grid_points=5001",
+        ],
+    ),
 }
 
 # name -> (exit code, {output file: sha256})
@@ -134,6 +145,15 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
             "empirical_cdf.csv": "e2f54e138142b4806b0dea1e334b9fadc5b196eb305c158dd65a9eb31f186209",
             "plot.gp": "85437ae6a5bd05145e2283149c53f77c9eb3ba4697a32c5aedff7e13a4c9a540",
             "theory_cdf.csv": "f56d498fa3c9a324c88713c46d819b28d7408ba22d2764473a2b36cb9b753b5f",
+        },
+    ),
+    "weak_limit_packet_fine": (
+        0,
+        {
+            "density.csv": "0f8759432e88b552d47913931b24c21eec2f714cd29030e28a606a3a1da06630",
+            "empirical_cdf.csv": "1fbd6e33b22470419be0a46435b9d80630853a74ce72b3f13dfd0f05f3b04eab",
+            "plot.gp": "85437ae6a5bd05145e2283149c53f77c9eb3ba4697a32c5aedff7e13a4c9a540",
+            "theory_cdf.csv": "d9e83ecf60d261d023a1fc865e02be2ba8ab2cd36919833d87e75c85bb7629eb",
         },
     ),
 }

@@ -376,6 +376,42 @@ class TestWeakLimitQuadrature:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    @pytest.mark.parametrize("grid_points", [2001, 20001])
+    @pytest.mark.parametrize("n_sites", [1, 33, 193])
+    def test_blocks_change_no_bit(self, monkeypatch, n_sites, grid_points):
+        u = {
+            1: LatticeState(-3, np.array([[0.6, 0.8j]])),
+            33: random_state(33, -20, seed=33),
+            193: packet_state(),
+        }[n_sites]
+        grid = np.linspace(-1.0, 1.0, grid_points)
+        runs = []
+        # Seven points per block against one block for the whole grid, which
+        # is above numpy's 256 KiB temporary-elision threshold.
+        for block in (7, 10**9):
+            monkeypatch.setattr(spectral, "_BLOCK", block)
+            curve, cdf = density_and_cdf(u, *COMPLEX_PAIR, grid)
+            runs.append(
+                (
+                    curve.density.tobytes(),
+                    np.float64(curve.total_mass).tobytes(),
+                    cdf.tobytes(),
+                )
+            )
+        assert runs[0] == runs[1]
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        u = packet_state()
+        grid = np.linspace(-1.0, 1.0, 20001)
+        tracemalloc.start()
+        try:
+            density_and_cdf(u, *COMPLEX_PAIR, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # About 2 MB in blocks; the whole grid at once peaks near 13 MB.
+        assert peak < 4 * 2**20
+
 
 class TestEmpiricalScaledCdf:
     def test_one_step_split(self):

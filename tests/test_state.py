@@ -214,6 +214,26 @@ class TestCsvRoundTrip:
         assert v.origin == u.origin
         assert np.array_equal(v.amplitudes, u.amplitudes)
 
+    def test_bytes_match_the_row_by_row_writer(self, tmp_path):
+        def row_by_row(u, path):
+            a = u.amplitudes
+            with open(path, "w", encoding="ascii", newline="\n") as fh:
+                fh.write("x,re_u1,im_u1,re_u2,im_u2\n")
+                for i, x in enumerate(u.sites):
+                    row = (
+                        f"{x:d},{a[i, 0].real:.17g},{a[i, 0].imag:.17g},"
+                        f"{a[i, 1].real:.17g},{a[i, 1].imag:.17g}"
+                    )
+                    fh.write(row + "\n")
+
+        rng = np.random.default_rng(5)
+        amp = rng.standard_normal((600, 2)) + 1j * rng.standard_normal((600, 2))
+        amp[:4] = [[-0.0, 5e-324], [1e300, -5e-324j], [-0.0j, -1e300], [0.0, -0.0 - 0.0j]]
+        u = LatticeState(-17, amp)
+        save_state_csv(u, str(tmp_path / "new.csv"))
+        row_by_row(u, str(tmp_path / "old.csv"))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
     def test_header_format(self, tmp_path):
         path = tmp_path / "u.csv"
         save_state_csv(delta_state(1, 0), str(path))
