@@ -15,6 +15,7 @@ exit code is 0 exactly when all configured checks pass.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -260,6 +261,7 @@ def _cmd_simulate(cfg: dict, out: str) -> dict:
     record_cfg = cfg.get("record", {})
 
     traj = evolve(u0, spec, steps, rec)
+    _release_free_heap()
 
     files: list[str] = []
     for name, series in traj.series.items():
@@ -334,6 +336,7 @@ def _cmd_table1(cfg: dict, out: str) -> dict:
         }
 
     results = [run_cell(cell) for cell in cells]
+    _release_free_heap()
 
     rows = (
         ",".join(
@@ -417,6 +420,7 @@ def _cmd_decay(cfg: dict, out: str) -> dict:
     if len(set(labels)) != len(labels):
         raise ConfigError("decay run labels must be unique")
     outputs = [run_one(run) for run in runs]
+    _release_free_heap()
 
     files: list[str] = []
     checks: list[dict] = []
@@ -510,6 +514,7 @@ def _cmd_weak_limit(cfg: dict, out: str) -> dict:
 
     u0 = _initial_state(cfg)
     traj = evolve(u0, spec, time)
+    _release_free_heap()
     v_grid = np.linspace(-1.0, 1.0, grid_points)
 
     curve = weak_limit_density(u0, a, b, v_grid)
@@ -580,6 +585,7 @@ def _cmd_scatter(cfg: dict, out: str) -> dict:
     u0 = _initial_state(cfg)
 
     report = scattering_series(u0, spec, c0, horizon, defect_times, tol)
+    _release_free_heap()
 
     sampled = {int(t): float(d) for t, d in zip(report.defect_times, report.defect_series)}
 
@@ -635,6 +641,7 @@ def _cmd_recover(cfg: dict, out: str) -> dict:
     variant = str(sec.get("exponent_variant", "theorem"))
 
     report = recovery_ladder(spec, c0, lams, t_max, variant)
+    _release_free_heap()
 
     rungs = []
     for res in report.results:
@@ -758,8 +765,51 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD.  At their 128 KiB defaults
+# the step loops' per-step numpy temporaries are mapped, or trimmed back to
+# the system, and faulted in afresh on every step; glibc raises both on its
+# own only after it frees a block it had mapped, which a command may or may
+# not do before its step loop starts.
+_MALLOPT = ((-3, 1 << 20), (-1, 2 << 20))
+
+
+def _glibc(name: str, argtypes: tuple) -> object | None:
+    """The C library's function `name` with its argument types declared, or
+    None where the library cannot be loaded or has no such function."""
+    try:
+        fn = getattr(ctypes.CDLL(None), name)
+    except (OSError, AttributeError):
+        return None
+    fn.argtypes = argtypes
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def _set_malloc_thresholds() -> None:
+    """Fix glibc's mmap threshold at 1 MiB and its trim threshold at 2 MiB,
+    so blocks up to 1 MiB are reused from the heap.  Setting them again
+    changes nothing; without glibc's mallopt this does nothing."""
+    mallopt = _glibc("mallopt", (ctypes.c_int, ctypes.c_int))
+    if mallopt is not None:
+        for param, value in _MALLOPT:
+            mallopt(param, value)
+
+
+def _release_free_heap() -> None:
+    """Return the heap a finished step loop has freed to the system.
+
+    Under the 2 MiB trim threshold that much stays resident, while the
+    output writers' Python objects live in separately mapped arenas, so
+    without this the writers would lift the peak RSS above the loop's own.
+    Without glibc's malloc_trim this does nothing."""
+    trim = _glibc("malloc_trim", (ctypes.c_size_t,))
+    if trim is not None:
+        trim(0)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    _set_malloc_thresholds()
     try:
         cfg = _load_config(args.config, args.sets)
         os.makedirs(args.out, exist_ok=True)

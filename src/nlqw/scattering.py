@@ -6,10 +6,13 @@ interaction-picture series
     W* u0 = u0 + sum_{t >= 0} U0^{-t} (C_N - I) U(t) u0,
 
 whose terms are pointwise quintic (or higher) in the amplitude for the
-families handled here.  The series is accumulated in the forward frame
-G <- U0 (G + d_t) with a Kahan carry propagated through the unitary step,
-then rotated back once; every intermediate quantity is of the size of the
-terms themselves, so no near-equal states are ever subtracted.
+families handled here.  One loop runs the walk and hands every step to an
+observer.  Where the whole series is wanted it is accumulated in the
+forward frame G <- U0 (G + d_t) with a Kahan carry propagated through the
+unitary step, then rotated back once.  The recovery probes need only two
+pairings of it, which are summed term by term against a linear walk
+instead.  Every intermediate quantity is of the size of the terms
+themselves, so no near-equal states are ever subtracted.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .coins import (
     require_unitary,
 )
 from .evolution import Recorder, evolve, linear_step, linear_step_inverse
-from .state import LatticeState, combine, delta_state, inner_product, l2_distance
+from .state import LatticeState, combine, delta_state, l2_distance
 
 __all__ = [
     "NonConvergenceError",
@@ -56,20 +59,16 @@ def _check_linear_part(spec: CoinSpec, c0: np.ndarray) -> np.ndarray:
     return c0
 
 
-# Forward-window sites (n0 + 2 t_max per run) one lockstep batch may hold.
-# On short windows numpy's per-call cost dominates, so stacking runs pays;
-# once the six (size, runs) buffers outgrow a 2 MiB L2 cache a wide batch
-# runs slower than its runs one at a time.
-_BATCH_SITES = 8192
-
-
 @dataclass
 class _SeriesRun:
     residual: LatticeState
     tail_norms: np.ndarray
     horizon_used: int
-    stopped_early: bool
     state_snapshots: dict[int, LatticeState]
+
+
+def _coin_entries(m: np.ndarray) -> tuple[complex, complex, complex, complex]:
+    return m[0, 0], m[0, 1], m[1, 0], m[1, 1]
 
 
 def _series_run(
@@ -77,20 +76,19 @@ def _series_run(
     spec: CoinSpec,
     c0: np.ndarray,
     t_max: int,
-    tol: float,
+    observer,
     snapshot_times: tuple[int, ...] = (),
-) -> list[_SeriesRun]:
-    """Nonlinear evolution with simultaneous series accumulation, one run
-    per seed.
+):
+    """Nonlinear evolution of one run per seed, with every step's coin
+    input and output handed to `observer`; returns observer.finish(...).
 
     The seeds share origin and window length and advance in lockstep: each
     buffer holds one column per run, so a row of sites is contiguous and
-    the coin kernel sees every run's window in one call.  All other
-    arithmetic is elementwise, so each run is bit for bit what it would be
-    alone.  Runs up to t_max terms; with tol > 0 stops at the first
-    t >= 64 where every run's trailing 32 term norms sum below tol
-    (raising NonConvergenceError if that never happens).  tol = 0 always
-    uses the full horizon.
+    the coin kernel sees every run's window in one call.  The observers'
+    arithmetic is elementwise or reduces each run on its own, so each run
+    is bit for bit what it would be alone.  Runs up to t_max steps and
+    stops early when observer.observe returns True.  The buffers leave
+    observer.margin spare sites per side beyond the walk's own t_max.
     """
     if t_max < 1:
         raise ValueError("t_max must be positive")
@@ -99,21 +97,16 @@ def _series_run(
         raise ValueError("batched seeds must share origin and window length")
     c0 = _check_linear_part(spec, c0)
     kern = coin_kernel(spec)
-    m = c0  # linear coin entries
-    m00, m01, m10, m11 = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    h = c0.conj().T
-    h00, h01, h10, h11 = h[0, 0], h[0, 1], h[1, 0], h[1, 1]
 
     runs = len(seeds)
-    size = n0 + 4 * t_max + 6
-    off = 2 * t_max + 3
-    u1, u2, g1, g2, k1, k2 = (
-        np.zeros((size, runs), dtype=np.complex128) for _ in range(6)
-    )
+    off = t_max + observer.margin + 1
+    size = n0 + 2 * off
+    u1, u2 = (np.zeros((size, runs), dtype=np.complex128) for _ in range(2))
     lo, hi = off, off + n0
     u1[lo:hi] = np.column_stack([s.amplitudes[:, 0] for s in seeds])
     u2[lo:hi] = np.column_stack([s.amplitudes[:, 1] for s in seeds])
     base = origin - off
+    observer.begin(c0, size, runs, base, lo, hi)
 
     snaps: list[dict[int, LatticeState]] = [{} for _ in seeds]
     want_snap = set(snapshot_times)
@@ -126,14 +119,55 @@ def _series_run(
                 )
 
     snap(0, lo, hi)
-    tails: list[np.ndarray] = []
-    stopped = False
     for t in range(t_max):
         a1 = u1[lo:hi]
         a2 = u2[lo:hi]
         w1, w2 = kern(a1.reshape(-1), a2.reshape(-1))
         w1 = w1.reshape(a1.shape)
         w2 = w2.reshape(a2.shape)
+        stop = observer.observe(lo, hi, a1, a2, w1, w2)
+        # nonlinear step of the walk itself reuses the coin output
+        u1[lo - 1 : hi - 1] = w1
+        u1[hi - 1] = 0.0
+        u2[lo + 1 : hi + 1] = w2
+        u2[lo] = 0.0
+        lo -= 1
+        hi += 1
+        snap(t + 1, lo, hi)
+        if stop:
+            break
+    return observer.finish(base, lo, hi, snaps)
+
+
+class _Residuals:
+    """Observer that builds each run's whole series N = sum_t U0^{-t} d_t.
+
+    The terms d_t = C0^{-1} (C(u) - C0) u are added into the forward frame
+    G <- U0 (G + d_t) with a Kahan carry K propagated through the unitary
+    step, and G is rotated back once at the end.  The term norms are
+    recorded; with tol > 0 the run stops at the first t >= 64 where every
+    run's trailing 32 term norms sum below tol (NonConvergenceError if
+    that never happens).  tol = 0 always uses the full horizon.
+    """
+
+    def __init__(self, t_max: int, tol: float) -> None:
+        self.tol = tol
+        # the rotate-back widens the window by up to t_max more sites per side
+        self.margin = t_max + 2
+        self.tails: list[np.ndarray] = []
+        self.stopped = False
+
+    def begin(self, c0, size: int, runs: int, base: int, lo: int, hi: int) -> None:
+        self.m = _coin_entries(c0)
+        self.h = _coin_entries(c0.conj().T)
+        self.g1, self.g2, self.k1, self.k2 = (
+            np.zeros((size, runs), dtype=np.complex128) for _ in range(4)
+        )
+
+    def observe(self, lo, hi, a1, a2, w1, w2) -> bool:
+        m00, m01, m10, m11 = self.m
+        h00, h01, h10, h11 = self.h
+        g1, g2, k1, k2 = self.g1, self.g2, self.k1, self.k2
         # series term d_t = C0^{-1} (C(u) - C0) u, with the difference taken
         # in the coin output frame: when the coin has no intensity-dependent
         # part the two multiplications share every operation, so the defect
@@ -145,7 +179,7 @@ def _series_run(
         # each run's squared norms summed as one contiguous row, which keeps
         # the pairwise summation order of a lone run
         q = d1.real**2 + d1.imag**2 + d2.real**2 + d2.imag**2
-        tails.append(np.sqrt(np.ascontiguousarray(q.T).sum(axis=1)))
+        self.tails.append(np.sqrt(np.ascontiguousarray(q.T).sum(axis=1)))
         # Kahan add of d_t into the forward-frame accumulator
         y1 = d1 - k1[lo:hi]
         y2 = d2 - k2[lo:hi]
@@ -163,78 +197,164 @@ def _series_run(
             z1[hi - 1] = 0.0
             z2[lo + 1 : hi + 1] = b2
             z2[lo] = 0.0
-        # nonlinear step of the walk itself reuses the coin output
-        u1[lo - 1 : hi - 1] = w1
-        u1[hi - 1] = 0.0
-        u2[lo + 1 : hi + 1] = w2
-        u2[lo] = 0.0
-        lo -= 1
-        hi += 1
-        snap(t + 1, lo, hi)
-        if tol > 0.0 and t + 1 >= 64 and np.all(sum(tails[-32:]) < tol):
-            stopped = True
-            break
+        tails = self.tails
+        if self.tol > 0.0 and len(tails) >= 64 and np.all(sum(tails[-32:]) < self.tol):
+            self.stopped = True
+        return self.stopped
 
-    if tol > 0.0 and not stopped:
-        raise NonConvergenceError(
-            f"series tails did not fall below {tol} within {t_max} terms"
+    def finish(self, base, lo, hi, snaps) -> list[_SeriesRun]:
+        if self.tol > 0.0 and not self.stopped:
+            raise NonConvergenceError(
+                f"series tails did not fall below {self.tol} within "
+                f"{len(self.tails)} terms"
+            )
+        h00, h01, h10, h11 = self.h
+        g1, g2 = self.g1, self.g2
+        terms = len(self.tails)
+        # rotate the accumulated sum back: N = U0^{-terms} G
+        for _ in range(terms):
+            c1 = g1[lo:hi].copy()
+            c2 = g2[lo:hi].copy()
+            g1[lo + 1 : hi + 1] = c1
+            g1[lo] = 0.0
+            g2[lo - 1 : hi - 1] = c2
+            g2[hi - 1] = 0.0
+            lo -= 1
+            hi += 1
+            s1 = g1[lo:hi]
+            s2 = g2[lo:hi]
+            r1 = h00 * s1 + h01 * s2
+            r2 = h10 * s1 + h11 * s2
+            g1[lo:hi] = r1
+            g2[lo:hi] = r2
+
+        norms = np.asarray(self.tails)
+        return [
+            _SeriesRun(
+                residual=LatticeState(
+                    base + lo, np.column_stack([g1[lo:hi, r], g2[lo:hi, r]])
+                ),
+                tail_norms=norms[:, r].copy(),
+                horizon_used=terms,
+                state_snapshots=snaps[r],
+            )
+            for r in range(g1.shape[1])
+        ]
+
+
+class _Pairings:
+    """Observer that pairs each run's series with U0^k delta_{j,0}, j = 1, 2,
+    without building the series itself.
+
+    With N = sum_t U0^{-t} d_t and d_t = C0^{-1} e_t, e_t = (C(u) - C0) u,
+
+        <N, U0^k delta> = sum_t <d_t, U0^{t+k} delta>
+                        = sum_t <e_t, C0 U0^{t+k} delta>,
+
+    and C0 U0^{t+k} delta is the coin stage of that walk's next step.  The
+    observer steps the conjugate walk chi_t = conj(U0^{t+k} delta) beside
+    the batch, one column per j shared by all runs, and adds each step's
+    (2, runs) pairings sum_x e_t(x) conj(C0 psi_t)(x) with a Kahan carry.
+    np.einsum sums each run's column on its own, in an order that does not
+    depend on the batch width (matmul's does).  A coin with no intensity
+    part gives e_t exactly zero and so exactly zero pairings.
+    """
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+        # chi starts k steps ahead of the walk, so its window is k sites wider
+        self.margin = k
+
+    def begin(self, c0, size: int, runs: int, base: int, lo: int, hi: int) -> None:
+        self.m = _coin_entries(c0)
+        self.n = _coin_entries(c0.conj())
+        zero = -base
+        # keeps chi's window, k + t_max sites either side of 0, in the buffers
+        if not lo <= zero < hi:
+            raise ValueError("paired seeds must cover site 0")
+        # e_t with a scratch array, then chi and its coin stage; the first
+        # index is the spinor component
+        self.e = np.zeros((2, size, runs), dtype=np.complex128)
+        self.tmp = np.zeros((size, runs), dtype=np.complex128)
+        self.chi, self.stage = (
+            np.zeros((2, size, 2), dtype=np.complex128) for _ in range(2)
         )
+        self.chi[0, zero, 0] = 1.0
+        self.chi[1, zero, 1] = 1.0
+        self.lo, self.hi = zero, zero + 1
+        for _ in range(self.k):
+            self._step_chi()
+        # stage stays zero outside chi's window, which holds chi's support
+        self.sum = np.zeros((2, runs), dtype=np.complex128)
+        self.carry = np.zeros((2, runs), dtype=np.complex128)
 
-    terms = len(tails)
-    # rotate the accumulated sum back: N = U0^{-terms} G
-    for _ in range(terms):
-        c1 = g1[lo:hi].copy()
-        c2 = g2[lo:hi].copy()
-        g1[lo + 1 : hi + 1] = c1
-        g1[lo] = 0.0
-        g2[lo - 1 : hi - 1] = c2
-        g2[hi - 1] = 0.0
-        lo -= 1
-        hi += 1
-        s1 = g1[lo:hi]
-        s2 = g2[lo:hi]
-        r1 = h00 * s1 + h01 * s2
-        r2 = h10 * s1 + h11 * s2
-        g1[lo:hi] = r1
-        g2[lo:hi] = r2
+    def _step_chi(self) -> None:
+        """Advance chi one step, leaving its coin stage conj(C0) chi in stage."""
+        n00, n01, n10, n11 = self.n
+        lo, hi = self.lo, self.hi
+        chi, stage = self.chi, self.stage
+        stage[0, lo:hi] = n00 * chi[0, lo:hi] + n01 * chi[1, lo:hi]
+        stage[1, lo:hi] = n10 * chi[0, lo:hi] + n11 * chi[1, lo:hi]
+        chi[0, lo - 1 : hi - 1] = stage[0, lo:hi]
+        chi[0, hi - 1] = 0.0
+        chi[1, lo + 1 : hi + 1] = stage[1, lo:hi]
+        chi[1, lo] = 0.0
+        self.lo, self.hi = lo - 1, hi + 1
 
-    norms = np.asarray(tails)
-    return [
-        _SeriesRun(
-            residual=LatticeState(
-                base + lo, np.column_stack([g1[lo:hi, r], g2[lo:hi, r]])
-            ),
-            tail_norms=norms[:, r].copy(),
-            horizon_used=terms,
-            stopped_early=stopped,
-            state_snapshots=snaps[r],
-        )
-        for r in range(runs)
-    ]
+    def observe(self, lo, hi, a1, a2, w1, w2) -> bool:
+        m00, m01, m10, m11 = self.m
+        e1, e2, tmp = self.e[0, lo:hi], self.e[1, lo:hi], self.tmp[lo:hi]
+        # e_t = (C(u) - C0) u in the coin output frame, as _Residuals takes it
+        np.multiply(m00, a1, out=e1)
+        np.multiply(m01, a2, out=tmp)
+        np.add(e1, tmp, out=e1)
+        np.subtract(w1, e1, out=e1)
+        np.multiply(m10, a1, out=e2)
+        np.multiply(m11, a2, out=tmp)
+        np.add(e2, tmp, out=e2)
+        np.subtract(w2, e2, out=e2)
+        self._step_chi()  # leaves chi's coin stage conj(C0 psi_t) in stage
+        pair = np.einsum("xr,xj->jr", e1, self.stage[0, lo:hi])
+        pair += np.einsum("xr,xj->jr", e2, self.stage[1, lo:hi])
+        # scalar Kahan add of this step's pairings
+        y = pair - self.carry
+        s = self.sum + y
+        self.carry = (s - self.sum) - y
+        self.sum = s
+        return False
+
+    def finish(self, base, lo, hi, snaps) -> np.ndarray:
+        return self.sum
 
 
-def _lockstep_residuals(
-    seeds: list[LatticeState], spec: CoinSpec, c0: np.ndarray, t_max: int
-) -> list[LatticeState]:
-    """Full-horizon residuals of seeds sharing origin and window length,
-    run in equal lockstep chunks within the _BATCH_SITES budget."""
+# Forward-window sites (n0 + 2 t_max per run) one lockstep batch may hold.
+# On short windows numpy's per-call cost dominates, so stacking runs pays;
+# once a batch's buffers outgrow a 2 MiB L2 cache a wide batch runs slower
+# than its runs one at a time.
+_BATCH_SITES = 8192
+
+
+def _lockstep_pairings(
+    seeds: list[LatticeState], spec: CoinSpec, c0: np.ndarray, t_max: int, k: int
+) -> np.ndarray:
+    """(2, runs) pairings <N, U0^k delta_{j,0}> of full-horizon series from
+    seeds sharing origin and window length, run in equal lockstep chunks
+    within the _BATCH_SITES budget."""
     width = max(1, _BATCH_SITES // (len(seeds[0]) + 2 * t_max))
     chunks = -(-len(seeds) // width)
     step = -(-len(seeds) // chunks)
-    return [
-        run.residual
-        for i in range(0, len(seeds), step)
-        for run in _series_run(seeds[i : i + step], spec, c0, t_max, 0.0)
-    ]
+    return np.concatenate(
+        [
+            _series_run(seeds[i : i + step], spec, c0, t_max, _Pairings(k))
+            for i in range(0, len(seeds), step)
+        ],
+        axis=1,
+    )
 
 
 def _check_variant(exponent_variant: str) -> None:
     if exponent_variant not in ("theorem", "proof"):
         raise ValueError("exponent_variant must be 'theorem' or 'proof'")
-
-
-def _indexed(res: LatticeState, c0: np.ndarray, exponent_variant: str) -> LatticeState:
-    return linear_step_inverse(res, c0) if exponent_variant == "proof" else res
 
 
 def nonlinear_residual(
@@ -253,8 +373,10 @@ def nonlinear_residual(
     whole sum (the off-by-one alternative indexing of the series).
     """
     _check_variant(exponent_variant)
-    (run,) = _series_run([u0], spec, c0, t_max, tol)
-    return _indexed(run.residual, c0, exponent_variant)
+    (run,) = _series_run([u0], spec, c0, t_max, _Residuals(t_max, tol))
+    if exponent_variant == "proof":
+        return linear_step_inverse(run.residual, c0)
+    return run.residual
 
 
 def wave_operator(
@@ -318,7 +440,9 @@ def scattering_series(
     if times.size and (times[0] < 1 or times[-1] > horizon):
         raise ValueError("defect times must lie in [1, horizon]")
     sampled = tuple(int(t) for t in times)
-    (run,) = _series_run([u0], spec, c0, horizon, 0.0, sampled)
+    (run,) = _series_run(
+        [u0], spec, c0, horizon, _Residuals(horizon, 0.0), sampled
+    )
     u_plus = combine([(1.0, u0), (1.0, run.residual)])
 
     linear = evolve(
@@ -389,27 +513,26 @@ def _probe_pairs(
     scaled by lambda^{-10}, for each (lambda, row) key.
 
     The series from the one-site seeds w0 and from the three-site seeds
-    U0 w0 run as two lockstep batches.  The conjugated-minus-plain
+    U0 w0 run as two lockstep batches of _Pairings; neither series is
+    formed as a state.  The conjugated-minus-plain
     orientation matters: the series for W* - U0^{-1} W* U0 telescopes to
     the single t = 0 defect term, so the pairing converges to
     <(C_hat - I) w0, delta_{j,0}> as lambda -> 0. The opposite orientation
     converges to its negative.
     """
     _check_variant(exponent_variant)
+    # <I N_base - U0^{-1} I N_shift, delta> with I the identity (theorem) or
+    # U0^{-1} (proof): the shifted series pairs with delta one step later
+    k = 1 if exponent_variant == "proof" else 0
     seeds = [_probe_w0(lam, row) for lam, row in keys]
-    bases = _lockstep_residuals(seeds, spec, c0, t_max)
+    bases = _lockstep_pairings(seeds, spec, c0, t_max, k)
     shifted = [linear_step(w0, c0) for w0 in seeds]
-    shifts = _lockstep_residuals(shifted, spec, c0, t_max)
+    shifts = _lockstep_pairings(shifted, spec, c0, t_max, k + 1)
+    diff = bases - shifts
     out = {}
-    for key, n_base, n_shift in zip(keys, bases, shifts):
-        n_base = _indexed(n_base, c0, exponent_variant)
-        n_shift = _indexed(n_shift, c0, exponent_variant)
-        diff = combine([(1.0, n_base), (-1.0, linear_step_inverse(n_shift, c0))])
+    for r, key in enumerate(keys):
         scale = key[0] ** -10
-        out[key] = (
-            scale * inner_product(diff, delta_state(1, 0)),
-            scale * inner_product(diff, delta_state(2, 0)),
-        )
+        out[key] = (complex(scale * diff[0, r]), complex(scale * diff[1, r]))
     return out
 
 

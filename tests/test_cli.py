@@ -5,6 +5,7 @@ import glob
 import json
 import math
 import os
+import types
 
 import numpy as np
 import pytest
@@ -548,3 +549,57 @@ class TestRecover:
         code, _, _ = run("recover", tmp_path, cfg)
         assert code == 2
         capsys.readouterr()
+
+
+class TestAllocatorCalls:
+    def cfg(self):
+        return TestSimulate().soliton_cfg()
+
+    def outputs(self, out):
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    def test_thresholds_are_set_and_the_heap_trimmed(self, tmp_path, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append(("mallopt", param, value))
+            return 1
+
+        def malloc_trim(pad):
+            calls.append(("malloc_trim", pad))
+            return 1
+
+        libc = types.SimpleNamespace(mallopt=mallopt, malloc_trim=malloc_trim)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        code, _, _ = run("simulate", tmp_path, self.cfg())
+        assert code == 0
+        # M_MMAP_THRESHOLD = 1 MiB and M_TRIM_THRESHOLD = 2 MiB first; the
+        # heap is trimmed once, after the step loop
+        assert calls == [
+            ("mallopt", -3, 1 << 20),
+            ("mallopt", -1, 2 << 20),
+            ("malloc_trim", 0),
+        ]
+
+    @pytest.mark.parametrize("libc", ["unloadable", "without_functions"])
+    def test_runs_alike_without_the_allocator_calls(self, tmp_path, monkeypatch, libc):
+        _, want, _ = run("simulate", tmp_path, self.cfg(), out_name="want")
+
+        def cdll(name):
+            if libc == "unloadable":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        code, got, _ = run("simulate", tmp_path, self.cfg(), out_name="got")
+        assert code == 0
+        assert self.outputs(got) == self.outputs(want)
+
+    def test_calling_twice_is_harmless(self, tmp_path):
+        _, want, _ = run("simulate", tmp_path, self.cfg(), out_name="want")
+        for _ in range(2):
+            cli._set_malloc_thresholds()
+            cli._release_free_heap()
+        code, got, _ = run("simulate", tmp_path, self.cfg(), out_name="got")
+        assert code == 0
+        assert self.outputs(got) == self.outputs(want)

@@ -293,15 +293,26 @@ class TestRecoveryLadder:
 
 
 def lockstep_seeds(runs: int, sites: int):
-    """Distinct small seeds on a shared window: one-site seeds, or their
-    three-site images U0 w0."""
+    """Distinct small seeds on a shared window around site 0: one-site
+    seeds, their three-site images U0 w0, or random windows of `sites`."""
     rng = np.random.default_rng(runs)
     seeds = []
     for _ in range(runs):
-        amp = 0.3 * (rng.standard_normal((1, 2)) + 1j * rng.standard_normal((1, 2)))
-        w0 = LatticeState(0, amp)
-        seeds.append(w0 if sites == 1 else linear_step(w0, C0))
+        n = 1 if sites == 3 else sites
+        amp = 0.3 * (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))
+        w0 = LatticeState(-(n // 2), amp)
+        seeds.append(linear_step(w0, C0) if sites == 3 else w0)
     return seeds
+
+
+def residual_runs(seeds, t_max: int):
+    observer = scattering._Residuals(t_max, 0.0)
+    return scattering._series_run(seeds, QUINTIC, C0, t_max, observer)
+
+
+def pairing_run(seeds, t_max: int, k: int) -> np.ndarray:
+    observer = scattering._Pairings(k)
+    return scattering._series_run(seeds, QUINTIC, C0, t_max, observer)
 
 
 def window_sum(n0: int, steps: int) -> int:
@@ -313,28 +324,72 @@ class TestLockstepBatches:
     @pytest.mark.parametrize("runs", [1, 3, 8])
     def test_each_run_matches_its_lone_run_bitwise(self, runs, sites):
         seeds = lockstep_seeds(runs, sites)
-        batch = scattering._series_run(seeds, QUINTIC, C0, 37, 0.0)
+        batch = residual_runs(seeds, 37)
         for seed, got in zip(seeds, batch):
-            (alone,) = scattering._series_run([seed], QUINTIC, C0, 37, 0.0)
+            (alone,) = residual_runs([seed], 37)
             assert got.residual.origin == alone.residual.origin
             amp = got.residual.amplitudes
             assert amp.tobytes() == alone.residual.amplitudes.tobytes()
             assert got.tail_norms.tobytes() == alone.tail_norms.tobytes()
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("sites", [1, 3])
+    @pytest.mark.parametrize("runs", [1, 3, 8])
+    def test_each_pairing_matches_its_lone_run_bitwise(self, runs, sites, k):
+        seeds = lockstep_seeds(runs, sites)
+        batch = pairing_run(seeds, 37, k)
+        for r, seed in enumerate(seeds):
+            alone = pairing_run([seed], 37, k)
+            assert batch[:, r].tobytes() == alone[:, 0].tobytes()
+
+    def test_wide_windows_match_lone_runs_bitwise(self):
+        # 8 runs of 2101-site windows make 16808-site kernel and pairing
+        # arrays, past numpy's 16384-element temporary elision; a lone
+        # run stays below it
+        seeds = lockstep_seeds(8, 2101)
+        residuals = residual_runs(seeds, 5)
+        pairings = pairing_run(seeds, 5, 1)
+        for r, seed in enumerate(seeds):
+            (alone,) = residual_runs([seed], 5)
+            got = residuals[r].residual.amplitudes
+            assert got.tobytes() == alone.residual.amplitudes.tobytes()
+            assert pairings[:, r].tobytes() == pairing_run([seed], 5, 1)[:, 0].tobytes()
+
     def test_chunked_batches_match_lone_runs(self, monkeypatch):
         seeds = lockstep_seeds(8, 3)
         # room for three runs per chunk: chunks of 3, 3 and 2
         monkeypatch.setattr(scattering, "_BATCH_SITES", 3 * (3 + 2 * 21))
-        got = scattering._lockstep_residuals(seeds, QUINTIC, C0, 21)
-        for seed, res in zip(seeds, got):
-            alone = nonlinear_residual(seed, QUINTIC, C0, t_max=21)
-            assert res.origin == alone.origin
-            assert res.amplitudes.tobytes() == alone.amplitudes.tobytes()
+        got = scattering._lockstep_pairings(seeds, QUINTIC, C0, 21, 1)
+        assert got.shape == (2, 8)
+        for r, seed in enumerate(seeds):
+            assert got[:, r].tobytes() == pairing_run([seed], 21, 1)[:, 0].tobytes()
+
+    def test_pairing_equals_the_full_state_pairing(self):
+        # <N, U0^k delta_{j,0}> from the pairing observer against the
+        # residual N built in full, to the rounding of 40 terms (40 eps)
+        seeds = lockstep_seeds(3, 3)
+        for k in (0, 1, 2):
+            got = pairing_run(seeds, 40, k)
+            for r, seed in enumerate(seeds):
+                res = nonlinear_residual(seed, QUINTIC, C0, t_max=40)
+                for j in (1, 2):
+                    phi = delta_state(j, 0)
+                    for _ in range(k):
+                        phi = linear_step(phi, C0)
+                    want = inner_product(res, phi)
+                    assert abs(got[j - 1, r] - want) <= 40 * 2.0**-52 * lp_norm(res, 2.0)
 
     def test_rejects_seeds_on_different_windows(self):
         seeds = [lockstep_seeds(1, 1)[0], lockstep_seeds(1, 3)[0]]
         with pytest.raises(ValueError):
-            scattering._series_run(seeds, QUINTIC, C0, 8, 0.0)
+            residual_runs(seeds, 8)
+
+    def test_pairing_rejects_seeds_off_site_zero(self):
+        # far enough right that the linear walk from site 0 would start
+        # outside the buffers
+        seed = LatticeState(5, np.array([[0.1, 0.2j]]))
+        with pytest.raises(ValueError, match="site 0"):
+            pairing_run([seed], 3, 0)
 
     @pytest.mark.parametrize("variant", ["theorem", "proof"])
     def test_ladder_probes_match_single_probes_bitwise(self, variant):
@@ -375,3 +430,102 @@ class TestLockstepBatches:
         assert sum(sites) == 6 * (window_sum(1, t_max) + window_sum(3, t_max))
         # one kernel call per step for each seed window's batch
         assert len(sites) == 2 * t_max
+
+
+def full_state_pair(lam: float, row: int, t_max: int, variant: str):
+    """Both probes of one (lambda, row) from whole residual states, as
+    lambda^{-10} <I N(w0) - U0^{-1} I N(U0 w0), delta_{j,0}>."""
+    w0 = scattering._probe_w0(lam, row)
+    n_base, n_shift = (
+        nonlinear_residual(u0, QUINTIC, C0, t_max=t_max, exponent_variant=variant)
+        for u0 in (w0, linear_step(w0, C0))
+    )
+    diff = combine([(1.0, n_base), (-1.0, linear_step_inverse(n_shift, C0))])
+    return np.array([lam**-10 * inner_product(diff, delta_state(j, 0)) for j in (1, 2)])
+
+
+def extended_pair(lam: float, row: int, t_max: int) -> np.ndarray:
+    """The theorem-variant probes of one (lambda, row) from lone series
+    summed plainly in np.clongdouble on a fixed window, with the float64
+    coin entries, generators and seed taken as exact.  U0^{-1} uses the
+    exact inverse of C0: the rounded C0 has C0^H C0 = (1 - 2.2e-16) I, so
+    its adjoint would put a bias of order t_max * 1e-16 into the reference."""
+    ld = np.clongdouble
+    half = 2 * t_max + 4
+    c0 = C0.astype(ld)
+    det = c0[0, 0] * c0[1, 1] - c0[0, 1] * c0[1, 0]
+    ch = np.array([[c0[1, 1], -c0[0, 1]], [-c0[1, 0], c0[0, 0]]]) / det
+    a1, a2 = (g.astype(ld) for g in (0.3 * SIGMA_X, 0.2 * SIGMA_Z))
+
+    def coin(m, z1, z2):
+        return m[0, 0] * z1 + m[0, 1] * z2, m[1, 0] * z1 + m[1, 1] * z2
+
+    def forward(z1, z2):  # U0 = S C0
+        b1, b2 = coin(c0, z1, z2)
+        return np.concatenate([b1[1:], [0]]), np.concatenate([[0], b2[:-1]])
+
+    def backward(z1, z2):  # U0^{-1} = C0^{-1} S^{-1}
+        return coin(ch, np.concatenate([[0], z1[:-1]]), np.concatenate([z2[1:], [0]]))
+
+    def factor(z1, z2):  # exp(i (s1^2 A1 + s2^2 A2)) applied pointwise
+        r1 = (z1.real**2 + z1.imag**2) ** 2
+        r2 = (z2.real**2 + z2.imag**2) ** 2
+        h = [[r1 * a1[p, q] + r2 * a2[p, q] for q in (0, 1)] for p in (0, 1)]
+        c = (h[0][0] + h[1][1]).real / 2
+        w = (h[0][0] - h[1][1]).real / 2
+        beta = h[0][1]
+        rho = np.hypot(w, np.abs(beta))
+        sinc = np.where(rho > 0, np.sin(rho) / np.where(rho > 0, rho, 1), 1)
+        phase = np.exp(1j * c.astype(ld))
+        v1 = phase * (np.cos(rho) * z1 + 1j * sinc * (w * z1 + beta * z2))
+        v2 = phase * (np.cos(rho) * z2 + 1j * sinc * (np.conj(beta) * z1 - w * z2))
+        return v1, v2
+
+    def residual(z1, z2):  # N = sum_t U0^{-t} (F - I) u_t
+        g1 = np.zeros_like(z1)
+        g2 = np.zeros_like(z2)
+        for _ in range(t_max):
+            v1, v2 = factor(z1, z2)
+            g1, g2 = forward(g1 + (v1 - z1), g2 + (v2 - z2))
+            z1, z2 = forward(v1, v2)
+        for _ in range(t_max):
+            g1, g2 = backward(g1, g2)
+        return g1, g2
+
+    w0 = scattering._probe_w0(lam, row)
+    z1 = np.zeros(2 * half + 1, dtype=ld)
+    z2 = np.zeros(2 * half + 1, dtype=ld)
+    z1[half], z2[half] = (ld(x) for x in w0.amplitudes[0])
+    base = residual(z1, z2)
+    shift = backward(*residual(*forward(z1, z2)))
+    return np.array(
+        [(base[j][half] - shift[j][half]) / ld(lam) ** 10 for j in (0, 1)]
+    )
+
+
+class TestPairingAccuracy:
+    def test_both_paths_match_an_extended_precision_series(self):
+        # the largest probe amplitude, where the float64 kernel's own
+        # rounding (relative eps / lambda^8 in each term) stays below 1e-15
+        lam, row, t_max = 0.8, 1, 128
+        ref = extended_pair(lam, row, t_max)
+        scale = float(np.max(np.abs(ref)))
+        pairing = np.array(
+            [recovery_probe(QUINTIC, C0, lam, row, j, t_max) for j in (1, 2)]
+        )
+        full = full_state_pair(lam, row, t_max, "theorem")
+        for got in (pairing, full):
+            assert np.max(np.abs(got.astype(np.clongdouble) - ref)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("row", [1, 2])
+    def test_proof_variant_probes_are_exactly_zero(self, row):
+        # N(w0) lives on even sites and U0^{-1} moves it to odd ones; the
+        # shifted series has the mirror parity, so both pairings with
+        # delta_{j,0} vanish identically on either path
+        lam = 0.2
+        pairing = [
+            recovery_probe(QUINTIC, C0, lam, row, j, 64, "proof") for j in (1, 2)
+        ]
+        full = full_state_pair(lam, row, 64, "proof")
+        assert pairing == [0.0, 0.0]
+        assert np.array_equal(full, [0.0, 0.0])
