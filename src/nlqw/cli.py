@@ -22,12 +22,8 @@ import os
 import sys
 from typing import Iterable
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover - hard dependency, guarded for clarity
-    jsonschema = None
 
 from .coins import (
     CoinSpec,
@@ -146,8 +142,6 @@ def _load_config(path: str | None, sets: list[str]) -> dict:
     bad = ["/".join(str(k) for k in p) for p in _non_finite_paths(cfg)]
     if bad:
         raise ConfigError("config rejected: non-finite number at " + ", ".join(bad))
-    if jsonschema is None:
-        raise ConfigError("the jsonschema package is required to validate configs")
     validator = jsonschema.Draft202012Validator(_load_schema())
     errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
     if errors:

@@ -248,7 +248,9 @@ def evaluate_coin(spec: CoinSpec, s1: float, s2: float) -> np.ndarray:
     raise TypeError(f"unknown coin spec {type(spec).__name__}")
 
 
-def _matrix_kernel(m: np.ndarray) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+def matrix_kernel(m: np.ndarray) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Pointwise product (u1, u2) -> m (u1, u2) with a constant 2x2 m: the
+    constant coin's kernel, and every linear coin stage of the engine."""
     m00, m01, m10, m11 = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
 
     def kern(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -273,7 +275,7 @@ def coin_kernel(spec: CoinSpec) -> Callable[[np.ndarray, np.ndarray], tuple[np.n
     handful of array operations and no per-site Python.
     """
     if isinstance(spec, ConstantCoin):
-        return _matrix_kernel(spec.matrix)
+        return matrix_kernel(spec.matrix)
 
     if isinstance(spec, GaltonCoin):
         g = spec.g
@@ -354,7 +356,7 @@ def coin_kernel(spec: CoinSpec) -> Callable[[np.ndarray, np.ndarray], tuple[np.n
 
     if isinstance(spec, ComposedCoin):
         inner = coin_kernel(spec.inner)
-        outer = _matrix_kernel(spec.c0)
+        outer = matrix_kernel(spec.c0)
 
         def kern_composed(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return outer(*inner(u1, u2))

@@ -6,6 +6,11 @@ moves component 1 one site left and component 2 one site right.  A state
 supported on [x0, x1] at time 0 is therefore supported in [x0 - t, x1 + t]
 at time t, exactly; the engine grows its dense window by one site per side
 per step so the light cone is respected by construction.
+
+Every shift in the engine is one of two in-place primitives, shift_into
+and inverse_shift_into, and every walk runs through one step loop,
+walk(), which evolve() and the scattering series drive with their own
+per-step observers.
 """
 
 from __future__ import annotations
@@ -20,10 +25,10 @@ from .coins import (
     ConstantCoin,
     GaltonCoin,
     GrossNeveuCoin,
-    QuinticExponentialCoin,
     RotationPowerCoin,
     ThirringCoin,
     coin_kernel,
+    matrix_kernel,
     require_unitary,
 )
 from .state import LatticeState, l2_distance, scaled, weak_lp_of_norms
@@ -45,33 +50,49 @@ __all__ = [
 ]
 
 
-def shift(u: LatticeState) -> LatticeState:
-    """S: component 1 moves one site left, component 2 one site right."""
+def shift_into(z1, z2, v1, v2, lo: int, hi: int) -> tuple[int, int]:
+    """Write S(v) in place into buffers (z1, z2) that are zero outside rows
+    [lo, hi), where v = (v1, v2) lives (v may view that window); returns the
+    new window (lo - 1, hi + 1), outside which the buffers are zero again."""
+    z1[lo - 1 : hi - 1] = v1
+    z1[hi - 1] = 0.0
+    z2[lo + 1 : hi + 1] = v2
+    z2[lo] = 0.0
+    return lo - 1, hi + 1
+
+
+def inverse_shift_into(z1, z2, v1, v2, lo: int, hi: int) -> tuple[int, int]:
+    """shift_into for S^{-1}: component 1 moves up, component 2 down."""
+    z1[lo + 1 : hi + 1] = v1
+    z1[lo] = 0.0
+    z2[lo - 1 : hi - 1] = v2
+    z2[hi - 1] = 0.0
+    return lo - 1, hi + 1
+
+
+def _moved(u: LatticeState, v1, v2, move) -> LatticeState:
+    """move (shift_into or inverse_shift_into) of (v1, v2), a state on u's
+    window, into a fresh window one site wider per side."""
     n = len(u)
     amp = np.zeros((n + 2, 2), dtype=np.complex128)
-    amp[0:n, 0] = u.amplitudes[:, 0]
-    amp[2 : n + 2, 1] = u.amplitudes[:, 1]
+    move(amp[:, 0], amp[:, 1], v1, v2, 1, n + 1)
     return LatticeState(u.origin - 1, amp)
+
+
+def shift(u: LatticeState) -> LatticeState:
+    """S: component 1 moves one site left, component 2 one site right."""
+    return _moved(u, u.amplitudes[:, 0], u.amplitudes[:, 1], shift_into)
 
 
 def inverse_shift(u: LatticeState) -> LatticeState:
     """S^{-1}: component 1 moves right, component 2 moves left."""
-    n = len(u)
-    amp = np.zeros((n + 2, 2), dtype=np.complex128)
-    amp[2 : n + 2, 0] = u.amplitudes[:, 0]
-    amp[0:n, 1] = u.amplitudes[:, 1]
-    return LatticeState(u.origin - 1, amp)
+    return _moved(u, u.amplitudes[:, 0], u.amplitudes[:, 1], inverse_shift_into)
 
 
 def step(u: LatticeState, spec: CoinSpec) -> LatticeState:
     """One walk step S C(u) u; the window widens by one site per side."""
-    kern = coin_kernel(spec)
-    v1, v2 = kern(u.amplitudes[:, 0], u.amplitudes[:, 1])
-    n = len(u)
-    amp = np.zeros((n + 2, 2), dtype=np.complex128)
-    amp[0:n, 0] = v1
-    amp[2 : n + 2, 1] = v2
-    return LatticeState(u.origin - 1, amp)
+    v1, v2 = coin_kernel(spec)(u.amplitudes[:, 0], u.amplitudes[:, 1])
+    return _moved(u, v1, v2, shift_into)
 
 
 def linear_step(u: LatticeState, c0: np.ndarray) -> LatticeState:
@@ -83,12 +104,9 @@ def linear_step_inverse(u: LatticeState, c0: np.ndarray) -> LatticeState:
     """One step of U0^{-1} = C0^{-1} S^{-1}."""
     c0 = require_unitary(c0, "c0")
     v = inverse_shift(u)
-    m = c0.conj().T
     a = v.amplitudes
-    out = np.empty_like(a)
-    out[:, 0] = m[0, 0] * a[:, 0] + m[0, 1] * a[:, 1]
-    out[:, 1] = m[1, 0] * a[:, 0] + m[1, 1] * a[:, 1]
-    return LatticeState(v.origin, out)
+    w1, w2 = matrix_kernel(c0.conj().T)(a[:, 0], a[:, 1])
+    return LatticeState(v.origin, np.column_stack([w1, w2]))
 
 
 @dataclass(frozen=True)
@@ -139,6 +157,148 @@ def _lp_key(p: float) -> str:
     return "lp_inf" if np.isinf(p) else f"lp_{p:g}"
 
 
+def _non_finite(kern, a1: np.ndarray, a2: np.ndarray, site0: int, step: int) -> str:
+    """Message for a walk that overflowed in `step` on the window at site0."""
+    with np.errstate(all="ignore"):
+        w1, w2 = kern(a1.reshape(-1), a2.reshape(-1))
+    bad = np.flatnonzero(~(np.isfinite(w1) & np.isfinite(w2)))
+    where = f" at site {site0 + int(bad[0]) // a1.shape[1]}" if bad.size else ""
+    return f"overflow or invalid value in step {step}{where}"
+
+
+def walk(
+    seeds: list[LatticeState],
+    kern: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    steps: int,
+    observer,
+    snapshot_times: tuple[int, ...] = (),
+):
+    """The engine's one step loop: up to `steps` steps u -> S C(u) u of one
+    walk per seed, kern being the coin kernel, each step handed to observer.
+
+    The seeds share origin and window length and advance in lockstep as
+    the columns of (size, runs) buffers, so kern sees every run's window in
+    one call.  Observers' arithmetic is elementwise or reduces each run on
+    its own, so each run is bit for bit what it would be alone.  An observer has
+    - margin: spare buffer sites per side beyond the walk's own;
+    - begin(u1, u2, base, lo, hi): the buffers, row 0's site, the seed rows;
+    - observe(t, lo, hi, a1, a2, w1, w2): u(t) on rows [lo, hi) and its coin
+      output, as (rows, runs); returning True stops the walk after this step;
+    - finish(t, lo, hi): u(t) on rows [lo, hi) is the last state.
+
+    Returns observer.finish(...) and per run a dict of the states at the
+    snapshot_times reached.  Overflow or an invalid operation in a step
+    raises ValueError naming the step and the first non-finite coin site.
+    """
+    origin, n0 = seeds[0].origin, len(seeds[0])
+    if any(s.origin != origin or len(s) != n0 for s in seeds):
+        raise ValueError("batched seeds must share origin and window length")
+    runs = len(seeds)
+    off = steps + observer.margin + 1
+    size = n0 + 2 * off
+    u1, u2 = (np.zeros((size, runs), dtype=np.complex128) for _ in range(2))
+    lo, hi = off, off + n0
+    u1[lo:hi] = np.column_stack([s.amplitudes[:, 0] for s in seeds])
+    u2[lo:hi] = np.column_stack([s.amplitudes[:, 1] for s in seeds])
+    base = origin - off  # site of buffer row 0
+    observer.begin(u1, u2, base, lo, hi)
+
+    snaps: list[dict[int, LatticeState]] = [{} for _ in seeds]
+    want_snap = set(snapshot_times)
+
+    def snap(t: int, lo: int, hi: int) -> None:
+        if t in want_snap:
+            for r, out in enumerate(snaps):
+                out[t] = LatticeState(
+                    base + lo, np.column_stack([u1[lo:hi, r], u2[lo:hi, r]])
+                )
+
+    snap(0, lo, hi)
+    t, stop = 0, False
+    with np.errstate(over="raise", invalid="raise"):
+        while t < steps and not stop:
+            a1, a2 = u1[lo:hi], u2[lo:hi]
+            try:
+                w1, w2 = kern(a1.reshape(-1), a2.reshape(-1))
+                w1, w2 = w1.reshape(a1.shape), w2.reshape(a2.shape)
+                stop = observer.observe(t, lo, hi, a1, a2, w1, w2)
+            except FloatingPointError:
+                raise ValueError(_non_finite(kern, a1, a2, base + lo, t + 1)) from None
+            lo, hi = shift_into(u1, u2, w1, w2, lo, hi)
+            t += 1
+            snap(t, lo, hi)
+    return observer.finish(t, lo, hi), snaps
+
+
+class _Recording:
+    """walk() observer that evaluates a Recorder's observables on every
+    state u(t) of a lone walk, as the flat window the coin kernel sees, and
+    builds the Trajectory."""
+
+    margin = 0
+
+    def __init__(self, u0: LatticeState, rec: Recorder) -> None:
+        self.u0, self.rec = u0, rec
+        self.need_site_norms = bool(rec.sup_norm or rec.lp or rec.weak_lp or rec.argmax)
+        # series (key, exponent) in the order they are stored: a repeated
+        # exponent shares a list, and of equal keys the last one stored wins
+        self.order = (
+            [("sup_norm", None)] * rec.sup_norm
+            + [(_lp_key(p), p) for p in rec.lp]
+            + [(f"weak_lp_{p:g}", p) for p in rec.weak_lp]
+            + [("argmax", None)] * rec.argmax
+            + [("edge_comp1", None), ("edge_comp2", None)] * rec.left_edge
+        )
+        self.values: dict[tuple[str, float | None], list] = {k: [] for k in self.order}
+        self.threshold_trace: list[tuple[int, np.ndarray]] = []
+
+    def begin(self, u1, u2, base: int, lo: int, hi: int) -> None:
+        self.u1, self.u2, self.base = u1, u2, base
+
+    def _capture(self, t: int, lo: int, a1: np.ndarray, a2: np.ndarray) -> None:
+        rec, v = self.rec, self.values
+        if self.need_site_norms:
+            norms = np.sqrt(a1.real**2 + a1.imag**2 + a2.real**2 + a2.imag**2)
+            if rec.sup_norm:
+                v["sup_norm", None].append(float(norms.max()))
+            for p in rec.lp:
+                if np.isinf(p):
+                    v[_lp_key(p), p].append(float(norms.max()))
+                else:
+                    v[_lp_key(p), p].append(float(np.sum(norms**p) ** (1.0 / p)))
+            for p in rec.weak_lp:
+                v[f"weak_lp_{p:g}", p].append(weak_lp_of_norms(norms, p))
+            if rec.argmax:
+                v["argmax", None].append(self.base + lo + int(np.argmax(norms)))
+        if rec.threshold is not None:
+            comp = a1 if rec.threshold_component == 1 else a2
+            mags = np.abs(comp)
+            self.threshold_trace.append(
+                (t, self.base + lo + np.flatnonzero(mags > rec.threshold))
+            )
+        if rec.left_edge:
+            v["edge_comp1", None].append(complex(a1[0]))
+            v["edge_comp2", None].append(complex(a2[0]))
+
+    def observe(self, t, lo, hi, a1, a2, w1, w2) -> bool:
+        self._capture(t, lo, a1.reshape(-1), a2.reshape(-1))
+        return False
+
+    def finish(self, t: int, lo: int, hi: int) -> Trajectory:
+        a1, a2 = self.u1[lo:hi].reshape(-1), self.u2[lo:hi].reshape(-1)
+        self._capture(t, lo, a1, a2)
+        traj = Trajectory(
+            initial=self.u0,
+            final=LatticeState(self.base + lo, np.column_stack([a1, a2])),
+            steps=t,
+            threshold_trace=self.threshold_trace,
+        )
+        for key, p in self.order:
+            dtype = np.int64 if key == "argmax" else None
+            traj.series[key] = np.asarray(self.values[key, p], dtype=dtype)
+        return traj
+
+
 def evolve(
     u0: LatticeState,
     spec: CoinSpec,
@@ -147,8 +307,8 @@ def evolve(
 ) -> Trajectory:
     """Run `steps` walk steps from u0, recording requested observables.
 
-    Preallocates the full light-cone window once and advances two component
-    buffers in place, so the cost is O(steps * window) array work.
+    A lone run of walk(): the full light-cone window is allocated once and
+    advanced in place, so the cost is O(steps * window) array work.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -156,83 +316,10 @@ def evolve(
     for t in rec.snapshot_times:
         if not 0 <= t <= steps:
             raise ValueError(f"snapshot time {t} is outside [0, {steps}]")
-    kern = coin_kernel(spec)
-
-    n0 = len(u0)
-    size = n0 + 2 * steps + 2
-    u1 = np.zeros(size, dtype=np.complex128)
-    u2 = np.zeros(size, dtype=np.complex128)
-    lo, hi = steps + 1, steps + 1 + n0
-    u1[lo:hi] = u0.amplitudes[:, 0]
-    u2[lo:hi] = u0.amplitudes[:, 1]
-    base = u0.origin - lo  # site of buffer index 0
-
-    sup_series: list[float] = []
-    lp_series: dict[float, list[float]] = {p: [] for p in rec.lp}
-    wlp_series: dict[float, list[float]] = {p: [] for p in rec.weak_lp}
-    argmax_series: list[int] = []
-    edge1: list[complex] = []
-    edge2: list[complex] = []
-    traj = Trajectory(initial=u0, final=u0, steps=steps)
-    snap_times = set(rec.snapshot_times)
-
-    need_site_norms = bool(
-        rec.sup_norm or rec.lp or rec.weak_lp or rec.argmax
+    traj, (snaps,) = walk(
+        [u0], coin_kernel(spec), steps, _Recording(u0, rec), rec.snapshot_times
     )
-
-    def capture(t: int, lo: int, hi: int) -> None:
-        a1 = u1[lo:hi]
-        a2 = u2[lo:hi]
-        if need_site_norms:
-            norms = np.sqrt(a1.real**2 + a1.imag**2 + a2.real**2 + a2.imag**2)
-            if rec.sup_norm:
-                sup_series.append(float(norms.max()))
-            for p in rec.lp:
-                if np.isinf(p):
-                    lp_series[p].append(float(norms.max()))
-                else:
-                    lp_series[p].append(float(np.sum(norms**p) ** (1.0 / p)))
-            for p in rec.weak_lp:
-                wlp_series[p].append(weak_lp_of_norms(norms, p))
-            if rec.argmax:
-                argmax_series.append(base + lo + int(np.argmax(norms)))
-        if rec.threshold is not None:
-            comp = a1 if rec.threshold_component == 1 else a2
-            mags = np.abs(comp)
-            traj.threshold_trace.append(
-                (t, base + lo + np.flatnonzero(mags > rec.threshold))
-            )
-        if rec.left_edge:
-            edge1.append(complex(u1[lo]))
-            edge2.append(complex(u2[lo]))
-        if t in snap_times:
-            traj.snapshots[t] = LatticeState(
-                base + lo, np.column_stack([a1, a2]).copy()
-            )
-
-    capture(0, lo, hi)
-    for t in range(1, steps + 1):
-        v1, v2 = kern(u1[lo:hi], u2[lo:hi])
-        u1[lo - 1 : hi - 1] = v1
-        u1[hi - 1] = 0.0
-        u2[lo + 1 : hi + 1] = v2
-        u2[lo] = 0.0
-        lo -= 1
-        hi += 1
-        capture(t, lo, hi)
-
-    traj.final = LatticeState(base + lo, np.column_stack([u1[lo:hi], u2[lo:hi]]))
-    if rec.sup_norm:
-        traj.series["sup_norm"] = np.asarray(sup_series)
-    for p in rec.lp:
-        traj.series[_lp_key(p)] = np.asarray(lp_series[p])
-    for p in rec.weak_lp:
-        traj.series[f"weak_lp_{p:g}"] = np.asarray(wlp_series[p])
-    if rec.argmax:
-        traj.series["argmax"] = np.asarray(argmax_series, dtype=np.int64)
-    if rec.left_edge:
-        traj.series["edge_comp1"] = np.asarray(edge1)
-        traj.series["edge_comp2"] = np.asarray(edge2)
+    traj.snapshots = snaps
     return traj
 
 

@@ -6,13 +6,14 @@ interaction-picture series
     W* u0 = u0 + sum_{t >= 0} U0^{-t} (C_N - I) U(t) u0,
 
 whose terms are pointwise quintic (or higher) in the amplitude for the
-families handled here.  One loop runs the walk and hands every step to an
-observer.  Where the whole series is wanted it is accumulated in the
-forward frame G <- U0 (G + d_t) with a Kahan carry propagated through the
-unitary step, then rotated back once.  The recovery probes need only two
-pairings of it, which are summed term by term against a linear walk
-instead.  Every intermediate quantity is of the size of the terms
-themselves, so no near-equal states are ever subtracted.
+families handled here.  The engine's one step loop, evolution.walk, runs
+the walk and hands every step to an observer.  Where the whole series is
+wanted it is accumulated in the forward frame G <- U0 (G + d_t) with a
+Kahan carry propagated through the unitary step, then rotated back once.
+The recovery probes need only two pairings of it, which are summed term
+by term against a linear walk instead.  Every intermediate quantity is of
+the size of the terms themselves, so no near-equal states are ever
+subtracted.
 """
 
 from __future__ import annotations
@@ -26,10 +27,19 @@ from .coins import (
     ConstantCoin,
     coin_kernel,
     linear_part,
+    matrix_kernel,
     nonlinear_partial_derivatives,
     require_unitary,
 )
-from .evolution import Recorder, evolve, linear_step, linear_step_inverse
+from .evolution import (
+    Recorder,
+    evolve,
+    inverse_shift_into,
+    linear_step,
+    linear_step_inverse,
+    shift_into,
+    walk,
+)
 from .state import LatticeState, combine, delta_state, l2_distance
 
 __all__ = [
@@ -52,7 +62,10 @@ class NonConvergenceError(RuntimeError):
     """Raised when a series fails its stopping rule within the horizon."""
 
 
-def _check_linear_part(spec: CoinSpec, c0: np.ndarray) -> np.ndarray:
+def _series_args(spec: CoinSpec, c0: np.ndarray, t_max: int) -> np.ndarray:
+    """Checks shared by the series: returns c0 as a unitary array."""
+    if t_max < 1:
+        raise ValueError("t_max must be positive")
     c0 = require_unitary(c0, "c0")
     if np.max(np.abs(linear_part(spec) - c0)) > 1e-12:
         raise ValueError("c0 must equal the linear part of the coin spec")
@@ -63,84 +76,10 @@ def _check_linear_part(spec: CoinSpec, c0: np.ndarray) -> np.ndarray:
 class _SeriesRun:
     residual: LatticeState
     tail_norms: np.ndarray
-    horizon_used: int
-    state_snapshots: dict[int, LatticeState]
-
-
-def _coin_entries(m: np.ndarray) -> tuple[complex, complex, complex, complex]:
-    return m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-
-
-def _series_run(
-    seeds: list[LatticeState],
-    spec: CoinSpec,
-    c0: np.ndarray,
-    t_max: int,
-    observer,
-    snapshot_times: tuple[int, ...] = (),
-):
-    """Nonlinear evolution of one run per seed, with every step's coin
-    input and output handed to `observer`; returns observer.finish(...).
-
-    The seeds share origin and window length and advance in lockstep: each
-    buffer holds one column per run, so a row of sites is contiguous and
-    the coin kernel sees every run's window in one call.  The observers'
-    arithmetic is elementwise or reduces each run on its own, so each run
-    is bit for bit what it would be alone.  Runs up to t_max steps and
-    stops early when observer.observe returns True.  The buffers leave
-    observer.margin spare sites per side beyond the walk's own t_max.
-    """
-    if t_max < 1:
-        raise ValueError("t_max must be positive")
-    origin, n0 = seeds[0].origin, len(seeds[0])
-    if any(s.origin != origin or len(s) != n0 for s in seeds):
-        raise ValueError("batched seeds must share origin and window length")
-    c0 = _check_linear_part(spec, c0)
-    kern = coin_kernel(spec)
-
-    runs = len(seeds)
-    off = t_max + observer.margin + 1
-    size = n0 + 2 * off
-    u1, u2 = (np.zeros((size, runs), dtype=np.complex128) for _ in range(2))
-    lo, hi = off, off + n0
-    u1[lo:hi] = np.column_stack([s.amplitudes[:, 0] for s in seeds])
-    u2[lo:hi] = np.column_stack([s.amplitudes[:, 1] for s in seeds])
-    base = origin - off
-    observer.begin(c0, size, runs, base, lo, hi)
-
-    snaps: list[dict[int, LatticeState]] = [{} for _ in seeds]
-    want_snap = set(snapshot_times)
-
-    def snap(t: int, lo: int, hi: int) -> None:
-        if t in want_snap:
-            for r, out in enumerate(snaps):
-                out[t] = LatticeState(
-                    base + lo, np.column_stack([u1[lo:hi, r], u2[lo:hi, r]])
-                )
-
-    snap(0, lo, hi)
-    for t in range(t_max):
-        a1 = u1[lo:hi]
-        a2 = u2[lo:hi]
-        w1, w2 = kern(a1.reshape(-1), a2.reshape(-1))
-        w1 = w1.reshape(a1.shape)
-        w2 = w2.reshape(a2.shape)
-        stop = observer.observe(lo, hi, a1, a2, w1, w2)
-        # nonlinear step of the walk itself reuses the coin output
-        u1[lo - 1 : hi - 1] = w1
-        u1[hi - 1] = 0.0
-        u2[lo + 1 : hi + 1] = w2
-        u2[lo] = 0.0
-        lo -= 1
-        hi += 1
-        snap(t + 1, lo, hi)
-        if stop:
-            break
-    return observer.finish(base, lo, hi, snaps)
 
 
 class _Residuals:
-    """Observer that builds each run's whole series N = sum_t U0^{-t} d_t.
+    """walk() observer that builds each run's whole series N = sum_t U0^{-t} d_t.
 
     The terms d_t = C0^{-1} (C(u) - C0) u are added into the forward frame
     G <- U0 (G + d_t) with a Kahan carry K propagated through the unitary
@@ -150,101 +89,75 @@ class _Residuals:
     that never happens).  tol = 0 always uses the full horizon.
     """
 
-    def __init__(self, t_max: int, tol: float) -> None:
+    def __init__(self, c0: np.ndarray, t_max: int, tol: float) -> None:
+        self.coin = matrix_kernel(c0)
+        self.coin_inverse = matrix_kernel(c0.conj().T)
         self.tol = tol
         # the rotate-back widens the window by up to t_max more sites per side
         self.margin = t_max + 2
         self.tails: list[np.ndarray] = []
         self.stopped = False
 
-    def begin(self, c0, size: int, runs: int, base: int, lo: int, hi: int) -> None:
-        self.m = _coin_entries(c0)
-        self.h = _coin_entries(c0.conj().T)
+    def begin(self, u1, u2, base: int, lo: int, hi: int) -> None:
+        self.base = base
         self.g1, self.g2, self.k1, self.k2 = (
-            np.zeros((size, runs), dtype=np.complex128) for _ in range(4)
+            np.zeros(u1.shape, dtype=np.complex128) for _ in range(4)
         )
 
-    def observe(self, lo, hi, a1, a2, w1, w2) -> bool:
-        m00, m01, m10, m11 = self.m
-        h00, h01, h10, h11 = self.h
+    def observe(self, t, lo, hi, a1, a2, w1, w2) -> bool:
         g1, g2, k1, k2 = self.g1, self.g2, self.k1, self.k2
         # series term d_t = C0^{-1} (C(u) - C0) u, with the difference taken
         # in the coin output frame: when the coin has no intensity-dependent
         # part the two multiplications share every operation, so the defect
         # is exactly zero rather than rounding noise
-        e1 = w1 - (m00 * a1 + m01 * a2)
-        e2 = w2 - (m10 * a1 + m11 * a2)
-        d1 = h00 * e1 + h01 * e2
-        d2 = h10 * e1 + h11 * e2
+        b1, b2 = self.coin(a1, a2)
+        d1, d2 = self.coin_inverse(w1 - b1, w2 - b2)
         # each run's squared norms summed as one contiguous row, which keeps
         # the pairwise summation order of a lone run
         q = d1.real**2 + d1.imag**2 + d2.real**2 + d2.imag**2
         self.tails.append(np.sqrt(np.ascontiguousarray(q.T).sum(axis=1)))
         # Kahan add of d_t into the forward-frame accumulator
-        y1 = d1 - k1[lo:hi]
-        y2 = d2 - k2[lo:hi]
-        t1 = g1[lo:hi] + y1
-        t2 = g2[lo:hi] + y2
-        k1[lo:hi] = (t1 - g1[lo:hi]) - y1
-        k2[lo:hi] = (t2 - g2[lo:hi]) - y2
-        g1[lo:hi] = t1
-        g2[lo:hi] = t2
+        for d, g, k in ((d1, g1, k1), (d2, g2, k2)):
+            y = d - k[lo:hi]
+            total = g[lo:hi] + y
+            k[lo:hi] = (total - g[lo:hi]) - y
+            g[lo:hi] = total
         # one linear step of accumulator and carry: G <- U0 G, K <- U0 K
         for z1, z2 in ((g1, g2), (k1, k2)):
-            b1 = m00 * z1[lo:hi] + m01 * z2[lo:hi]
-            b2 = m10 * z1[lo:hi] + m11 * z2[lo:hi]
-            z1[lo - 1 : hi - 1] = b1
-            z1[hi - 1] = 0.0
-            z2[lo + 1 : hi + 1] = b2
-            z2[lo] = 0.0
+            shift_into(z1, z2, *self.coin(z1[lo:hi], z2[lo:hi]), lo, hi)
         tails = self.tails
         if self.tol > 0.0 and len(tails) >= 64 and np.all(sum(tails[-32:]) < self.tol):
             self.stopped = True
         return self.stopped
 
-    def finish(self, base, lo, hi, snaps) -> list[_SeriesRun]:
+    def finish(self, t: int, lo: int, hi: int) -> list[_SeriesRun]:
         if self.tol > 0.0 and not self.stopped:
             raise NonConvergenceError(
                 f"series tails did not fall below {self.tol} within "
                 f"{len(self.tails)} terms"
             )
-        h00, h01, h10, h11 = self.h
         g1, g2 = self.g1, self.g2
         terms = len(self.tails)
         # rotate the accumulated sum back: N = U0^{-terms} G
         for _ in range(terms):
-            c1 = g1[lo:hi].copy()
-            c2 = g2[lo:hi].copy()
-            g1[lo + 1 : hi + 1] = c1
-            g1[lo] = 0.0
-            g2[lo - 1 : hi - 1] = c2
-            g2[hi - 1] = 0.0
-            lo -= 1
-            hi += 1
-            s1 = g1[lo:hi]
-            s2 = g2[lo:hi]
-            r1 = h00 * s1 + h01 * s2
-            r2 = h10 * s1 + h11 * s2
-            g1[lo:hi] = r1
-            g2[lo:hi] = r2
+            lo, hi = inverse_shift_into(g1, g2, g1[lo:hi], g2[lo:hi], lo, hi)
+            g1[lo:hi], g2[lo:hi] = self.coin_inverse(g1[lo:hi], g2[lo:hi])
 
         norms = np.asarray(self.tails)
         return [
             _SeriesRun(
                 residual=LatticeState(
-                    base + lo, np.column_stack([g1[lo:hi, r], g2[lo:hi, r]])
+                    self.base + lo, np.column_stack([g1[lo:hi, r], g2[lo:hi, r]])
                 ),
                 tail_norms=norms[:, r].copy(),
-                horizon_used=terms,
-                state_snapshots=snaps[r],
             )
             for r in range(g1.shape[1])
         ]
 
 
 class _Pairings:
-    """Observer that pairs each run's series with U0^k delta_{j,0}, j = 1, 2,
-    without building the series itself.
+    """walk() observer that pairs each run's series with U0^k delta_{j,0},
+    j = 1, 2, without building the series itself.
 
     With N = sum_t U0^{-t} d_t and d_t = C0^{-1} e_t, e_t = (C(u) - C0) u,
 
@@ -260,14 +173,15 @@ class _Pairings:
     part gives e_t exactly zero and so exactly zero pairings.
     """
 
-    def __init__(self, k: int) -> None:
+    def __init__(self, c0: np.ndarray, k: int) -> None:
+        self.c0 = c0
+        self.chi_coin = matrix_kernel(c0.conj())
         self.k = k
         # chi starts k steps ahead of the walk, so its window is k sites wider
         self.margin = k
 
-    def begin(self, c0, size: int, runs: int, base: int, lo: int, hi: int) -> None:
-        self.m = _coin_entries(c0)
-        self.n = _coin_entries(c0.conj())
+    def begin(self, u1, u2, base: int, lo: int, hi: int) -> None:
+        size, runs = u1.shape
         zero = -base
         # keeps chi's window, k + t_max sites either side of 0, in the buffers
         if not lo <= zero < hi:
@@ -290,29 +204,19 @@ class _Pairings:
 
     def _step_chi(self) -> None:
         """Advance chi one step, leaving its coin stage conj(C0) chi in stage."""
-        n00, n01, n10, n11 = self.n
         lo, hi = self.lo, self.hi
-        chi, stage = self.chi, self.stage
-        stage[0, lo:hi] = n00 * chi[0, lo:hi] + n01 * chi[1, lo:hi]
-        stage[1, lo:hi] = n10 * chi[0, lo:hi] + n11 * chi[1, lo:hi]
-        chi[0, lo - 1 : hi - 1] = stage[0, lo:hi]
-        chi[0, hi - 1] = 0.0
-        chi[1, lo + 1 : hi + 1] = stage[1, lo:hi]
-        chi[1, lo] = 0.0
-        self.lo, self.hi = lo - 1, hi + 1
+        (c1, c2), (s1, s2) = self.chi, self.stage
+        s1[lo:hi], s2[lo:hi] = self.chi_coin(c1[lo:hi], c2[lo:hi])
+        self.lo, self.hi = shift_into(c1, c2, s1[lo:hi], s2[lo:hi], lo, hi)
 
-    def observe(self, lo, hi, a1, a2, w1, w2) -> bool:
-        m00, m01, m10, m11 = self.m
+    def observe(self, t, lo, hi, a1, a2, w1, w2) -> bool:
         e1, e2, tmp = self.e[0, lo:hi], self.e[1, lo:hi], self.tmp[lo:hi]
         # e_t = (C(u) - C0) u in the coin output frame, as _Residuals takes it
-        np.multiply(m00, a1, out=e1)
-        np.multiply(m01, a2, out=tmp)
-        np.add(e1, tmp, out=e1)
-        np.subtract(w1, e1, out=e1)
-        np.multiply(m10, a1, out=e2)
-        np.multiply(m11, a2, out=tmp)
-        np.add(e2, tmp, out=e2)
-        np.subtract(w2, e2, out=e2)
+        for e, w, (ma, mb) in zip((e1, e2), (w1, w2), self.c0):
+            np.multiply(ma, a1, out=e)
+            np.multiply(mb, a2, out=tmp)
+            np.add(e, tmp, out=e)
+            np.subtract(w, e, out=e)
         self._step_chi()  # leaves chi's coin stage conj(C0 psi_t) in stage
         pair = np.einsum("xr,xj->jr", e1, self.stage[0, lo:hi])
         pair += np.einsum("xr,xj->jr", e2, self.stage[1, lo:hi])
@@ -323,7 +227,7 @@ class _Pairings:
         self.sum = s
         return False
 
-    def finish(self, base, lo, hi, snaps) -> np.ndarray:
+    def finish(self, t: int, lo: int, hi: int) -> np.ndarray:
         return self.sum
 
 
@@ -340,12 +244,14 @@ def _lockstep_pairings(
     """(2, runs) pairings <N, U0^k delta_{j,0}> of full-horizon series from
     seeds sharing origin and window length, run in equal lockstep chunks
     within the _BATCH_SITES budget."""
+    c0 = _series_args(spec, c0, t_max)
+    kern = coin_kernel(spec)
     width = max(1, _BATCH_SITES // (len(seeds[0]) + 2 * t_max))
     chunks = -(-len(seeds) // width)
     step = -(-len(seeds) // chunks)
     return np.concatenate(
         [
-            _series_run(seeds[i : i + step], spec, c0, t_max, _Pairings(k))
+            walk(seeds[i : i + step], kern, t_max, _Pairings(c0, k))[0]
             for i in range(0, len(seeds), step)
         ],
         axis=1,
@@ -373,7 +279,8 @@ def nonlinear_residual(
     whole sum (the off-by-one alternative indexing of the series).
     """
     _check_variant(exponent_variant)
-    (run,) = _series_run([u0], spec, c0, t_max, _Residuals(t_max, tol))
+    c0 = _series_args(spec, c0, t_max)
+    (run,), _ = walk([u0], coin_kernel(spec), t_max, _Residuals(c0, t_max, tol))
     if exponent_variant == "proof":
         return linear_step_inverse(run.residual, c0)
     return run.residual
@@ -440,8 +347,9 @@ def scattering_series(
     if times.size and (times[0] < 1 or times[-1] > horizon):
         raise ValueError("defect times must lie in [1, horizon]")
     sampled = tuple(int(t) for t in times)
-    (run,) = _series_run(
-        [u0], spec, c0, horizon, _Residuals(horizon, 0.0), sampled
+    c0 = _series_args(spec, c0, horizon)
+    (run,), (states,) = walk(
+        [u0], coin_kernel(spec), horizon, _Residuals(c0, horizon, 0.0), sampled
     )
     u_plus = combine([(1.0, u0), (1.0, run.residual)])
 
@@ -452,18 +360,18 @@ def scattering_series(
         Recorder(snapshot_times=sampled),
     )
     defects = np.asarray(
-        [l2_distance(run.state_snapshots[t], linear.snapshots[t]) for t in sampled],
+        [l2_distance(states[t], linear.snapshots[t]) for t in sampled],
         dtype=np.float64,
     )
 
-    last_decade = run.tail_norms[run.horizon_used // 10 :]
+    last_decade = run.tail_norms[horizon // 10 :]
     converged = bool(np.sum(last_decade) < tol)
     return ScatteringReport(
         u_plus=u_plus,
         tail_norms=run.tail_norms,
         defect_times=times,
         defect_series=defects,
-        horizon=run.horizon_used,
+        horizon=horizon,
         converged=converged,
         tolerance=tol,
     )

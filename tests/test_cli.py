@@ -6,6 +6,7 @@ import json
 import math
 import os
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -603,3 +604,33 @@ class TestAllocatorCalls:
         code, got, _ = run("simulate", tmp_path, self.cfg(), out_name="got")
         assert code == 0
         assert self.outputs(got) == self.outputs(want)
+
+
+class TestNonFiniteGuard:
+    """An overflowing walk stops at the step where it happens, with a clean
+    error and without numpy's warnings."""
+
+    def run_shipped(self, command, config, tmp_path, *sets):
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", config)
+        argv = [command, "--config", path, "--out", str(tmp_path / "out")]
+        for s in sets:
+            argv += ["--set", s]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return main(argv)
+
+    def test_simulate_names_the_step(self, tmp_path, capsys):
+        code = self.run_shipped(
+            "simulate", "soliton.json", tmp_path, "initial.scale=1e200", "steps=3000"
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "in step 1 at site 0" in err
+        assert "RuntimeWarning" not in err
+
+    def test_quintic_series_names_the_step(self, tmp_path, capsys):
+        code = self.run_shipped("scatter", "scatter.json", tmp_path, "initial.scale=1e200")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "in step 1 at site 0" in err
+        assert "RuntimeWarning" not in err

@@ -1,5 +1,7 @@
 """Shift, walk steps, trajectories, and the traveling-edge protocols."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,8 @@ from nlqw import (
     soliton_amplitude,
     step,
 )
+from nlqw.coins import coin_kernel
+from nlqw.state import weak_lp_of_norms
 
 R = 1.0 / np.sqrt(2.0)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -369,3 +373,187 @@ class TestTrajectoryInvariant:
         traj = evolve(u, GaltonCoin(0.8), steps)
         drift = abs(lp_norm(traj.final, 2.0) - lp_norm(u, 2.0))
         assert drift <= 1e-10 * np.sqrt(steps)
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity against a frozen copy of the former 1-D engine
+
+
+def reference_evolve(u0, spec, steps, rec):
+    """The former evolve loop: 1-D component buffers, shifted in place."""
+    kern = coin_kernel(spec)
+    n0 = len(u0)
+    size = n0 + 2 * steps + 2
+    u1 = np.zeros(size, dtype=np.complex128)
+    u2 = np.zeros(size, dtype=np.complex128)
+    lo, hi = steps + 1, steps + 1 + n0
+    u1[lo:hi] = u0.amplitudes[:, 0]
+    u2[lo:hi] = u0.amplitudes[:, 1]
+    base = u0.origin - lo
+    series = {}
+    trace = []
+    snaps = {}
+
+    def put(key, value):
+        series.setdefault(key, []).append(value)
+
+    def capture(t, lo, hi):
+        a1 = u1[lo:hi]
+        a2 = u2[lo:hi]
+        norms = np.sqrt(a1.real**2 + a1.imag**2 + a2.real**2 + a2.imag**2)
+        put("sup_norm", float(norms.max()))
+        for p in rec.lp:
+            key = "lp_inf" if np.isinf(p) else f"lp_{p:g}"
+            if np.isinf(p):
+                put(key, float(norms.max()))
+            else:
+                put(key, float(np.sum(norms**p) ** (1.0 / p)))
+        for p in rec.weak_lp:
+            put(f"weak_lp_{p:g}", weak_lp_of_norms(norms, p))
+        put("argmax", base + lo + int(np.argmax(norms)))
+        comp = a1 if rec.threshold_component == 1 else a2
+        trace.append((t, base + lo + np.flatnonzero(np.abs(comp) > rec.threshold)))
+        put("edge_comp1", complex(u1[lo]))
+        put("edge_comp2", complex(u2[lo]))
+        if t in rec.snapshot_times:
+            snaps[t] = LatticeState(base + lo, np.column_stack([a1, a2]).copy())
+
+    capture(0, lo, hi)
+    for t in range(1, steps + 1):
+        v1, v2 = kern(u1[lo:hi], u2[lo:hi])
+        u1[lo - 1 : hi - 1] = v1
+        u1[hi - 1] = 0.0
+        u2[lo + 1 : hi + 1] = v2
+        u2[lo] = 0.0
+        lo -= 1
+        hi += 1
+        capture(t, lo, hi)
+    final = LatticeState(base + lo, np.column_stack([u1[lo:hi], u2[lo:hi]]))
+    series["argmax"] = np.asarray(series["argmax"], dtype=np.int64)
+    return final, {k: np.asarray(v) for k, v in series.items()}, trace, snaps
+
+
+def reference_shift(u, inverse=False):
+    n = len(u)
+    amp = np.zeros((n + 2, 2), dtype=np.complex128)
+    left, right = (0, 2) if not inverse else (2, 0)
+    amp[left : left + n, 0] = u.amplitudes[:, 0]
+    amp[right : right + n, 1] = u.amplitudes[:, 1]
+    return LatticeState(u.origin - 1, amp)
+
+
+def reference_step(u, spec):
+    v1, v2 = coin_kernel(spec)(u.amplitudes[:, 0], u.amplitudes[:, 1])
+    return reference_shift(LatticeState(u.origin, np.column_stack([v1, v2])))
+
+
+def reference_linear_step_inverse(u, c0):
+    v = reference_shift(u, inverse=True)
+    m = c0.conj().T
+    a = v.amplitudes
+    out = np.empty_like(a)
+    out[:, 0] = m[0, 0] * a[:, 0] + m[0, 1] * a[:, 1]
+    out[:, 1] = m[1, 0] * a[:, 0] + m[1, 1] * a[:, 1]
+    return LatticeState(v.origin, out)
+
+
+C0 = c0_from_ab(R, R)
+FAMILIES = {
+    "constant": ConstantCoin(C0),
+    "galton": GaltonCoin(0.7),
+    "gross_neveu": GrossNeveuCoin(0.9, 0.4),
+    "thirring": ThirringCoin(-0.6, 0.3),
+    "rotation_power": soliton_spec(),
+    "quintic": ComposedCoin(
+        C0, QuinticExponentialCoin(0.3 * SIGMA_X, 0.2 * SIGMA_Z)
+    ),
+}
+# 20001 sites straddle numpy's 16384-element temporary elision, under which
+# the Thirring and Gross-Neveu kernels' complex products change operand order
+WINDOWS = [(1, 300), (9000, 40), (20001, 6)]
+
+
+def random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    amp = 0.6 * (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))
+    return LatticeState(-3, amp)
+
+
+def same_state(a, b):
+    return a.origin == b.origin and a.amplitudes.tobytes() == b.amplitudes.tobytes()
+
+
+class TestFrozenEngineBitIdentity:
+    @pytest.mark.parametrize("component", [1, 2])
+    @pytest.mark.parametrize("n, steps", WINDOWS)
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_evolve_matches_the_former_loop(self, family, n, steps, component):
+        spec = FAMILIES[family]
+        u0 = random_state(n, n + steps)
+        rec = Recorder(
+            sup_norm=True,
+            lp=(1.0, 2.0, 5.0, float("inf")),
+            weak_lp=(4.0, 6.0),
+            argmax=True,
+            threshold=0.05,
+            threshold_component=component,
+            left_edge=True,
+            snapshot_times=(0, steps // 3, steps),
+        )
+        final, series, trace, snaps = reference_evolve(u0, spec, steps, rec)
+        traj = evolve(u0, spec, steps, rec)
+        assert same_state(traj.final, final)
+        assert list(traj.series) == list(series)
+        for key, values in series.items():
+            assert traj.series[key].dtype == values.dtype, key
+            assert traj.series[key].tobytes() == values.tobytes(), key
+        assert [t for t, _ in traj.threshold_trace] == [t for t, _ in trace]
+        for (_, got), (_, want) in zip(traj.threshold_trace, trace):
+            assert got.tobytes() == want.tobytes()
+        assert sorted(traj.snapshots) == sorted(snaps)
+        for t, state in snaps.items():
+            assert same_state(traj.snapshots[t], state)
+
+    @pytest.mark.parametrize("n", [n for n, _ in WINDOWS])
+    def test_state_level_shifts_match_the_former_forms(self, n):
+        u = random_state(n, 7 * n)
+        assert same_state(shift(u), reference_shift(u))
+        assert same_state(inverse_shift(u), reference_shift(u, inverse=True))
+        assert same_state(linear_step_inverse(u, C0), reference_linear_step_inverse(u, C0))
+        for spec in FAMILIES.values():
+            assert same_state(step(u, spec), reference_step(u, spec))
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_one_step_equals_a_one_step_evolve(self, family):
+        u = random_state(20001, 3)
+        spec = FAMILIES[family]
+        assert same_state(step(u, spec), evolve(u, spec, 1).final)
+
+
+class TestNonFiniteGuard:
+    def test_overflow_names_the_step_and_site(self):
+        amp = np.full((5, 2), 0.1, dtype=np.complex128)
+        amp[3, 0] = 1e200
+        u0 = LatticeState(-2, amp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"in step 1 at site 1$"):
+                evolve(u0, soliton_spec(), 50, Recorder(sup_norm=True))
+
+    def test_later_blow_up_names_its_step(self):
+        # each component alone squares to 1e308; step 1 brings both onto
+        # site 0, where the Thirring intensity sums them past the float range
+        amp = np.array([[0.0, 1e154], [0.0, 0.0], [1e154, 0.0]], dtype=np.complex128)
+        u0 = LatticeState(-1, amp)
+        with pytest.raises(ValueError, match="in step 2 at site 0$"):
+            evolve(u0, ThirringCoin(1.0, 0.0), 5)
+        # the linear coin squares nothing, so the same state walks on
+        traj = evolve(u0, ConstantCoin(C0), 5)
+        assert np.isfinite(traj.final.amplitudes).all()
+
+    def test_recorder_overflow_names_the_step_without_a_site(self):
+        # the coin keeps these amplitudes finite, but their squared site
+        # norms overflow in the recorder
+        u0 = scaled(delta_state(1, 0), 1e160)
+        with pytest.raises(ValueError, match="in step 1$"):
+            evolve(u0, ConstantCoin(C0), 5, Recorder(sup_norm=True))

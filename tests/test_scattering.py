@@ -31,6 +31,8 @@ from nlqw import (
     scattering_series,
     wave_operator,
 )
+from nlqw.coins import coin_kernel
+from nlqw.evolution import walk
 
 R = 1.0 / np.sqrt(2.0)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -306,13 +308,13 @@ def lockstep_seeds(runs: int, sites: int):
 
 
 def residual_runs(seeds, t_max: int):
-    observer = scattering._Residuals(t_max, 0.0)
-    return scattering._series_run(seeds, QUINTIC, C0, t_max, observer)
+    observer = scattering._Residuals(C0, t_max, 0.0)
+    return walk(seeds, coin_kernel(QUINTIC), t_max, observer)[0]
 
 
 def pairing_run(seeds, t_max: int, k: int) -> np.ndarray:
-    observer = scattering._Pairings(k)
-    return scattering._series_run(seeds, QUINTIC, C0, t_max, observer)
+    observer = scattering._Pairings(C0, k)
+    return walk(seeds, coin_kernel(QUINTIC), t_max, observer)[0]
 
 
 def window_sum(n0: int, steps: int) -> int:

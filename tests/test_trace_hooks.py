@@ -1,0 +1,93 @@
+"""The benchmark's tracer still sees every coin-kernel call of every command.
+
+bench/tracer.py wraps named functions of the nlqw modules, among them each
+module's `coin_kernel`, and bench/workloads.py states the exact kernel
+sites a run must hand over.  A renamed hook or a kernel built past those
+names would make a traced benchmark run report wrong counts, so this
+checks both at small sizes.  The bench modules are loaded from their files
+and not modified.
+"""
+
+import importlib.util
+import json
+import os
+import sys
+
+import pytest
+
+import nlqw.cli as cli
+import nlqw.evolution as evolution
+import nlqw.scattering as scattering
+
+BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench")
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs")
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"nlqw_bench_{name}", os.path.join(BENCH, f"{name}.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+tracer = load("tracer")
+workloads = load("workloads")
+
+
+@pytest.fixture(scope="module")
+def traced(tmp_path_factory):
+    """The five benchmark commands at small sizes under the tracer."""
+    tmp = tmp_path_factory.mktemp("traced")
+    packet = str(tmp / "packet.csv")
+    workloads.write_packet(packet, seed=3)
+    initial = json.dumps({"kind": "csv", "path": packet})
+    cfg = lambda name: os.path.join(CONFIGS, name)  # noqa: E731
+    commands = [
+        ["simulate", "--config", cfg("snapshots.json"), "--set", "steps=60",
+         "--set", "record.snapshots=[0,30]"],
+        ["table1", "--config", cfg("table1.json"), "--set", "table1.steps=40"],
+        ["scatter", "--config", cfg("scatter.json"), "--set", "scatter.horizon=64"],
+        ["recover", "--config", cfg("recover.json"), "--set", "recover.t_max=32"],
+        ["weak-limit", "--config", cfg("weak_limit.json"), "--set", f"initial={initial}",
+         "--set", "weak_limit.time=50"],
+    ]
+    t = tracer.Tracer()
+    undo = tracer.install(t)
+    try:
+        for i, argv in enumerate(commands):
+            t.call("cli.main", cli.main, (argv + ["--out", str(tmp / f"o{i}")],),
+                   attrs={"command": argv[0]}, root=True)
+    finally:
+        undo()
+    return t
+
+
+def test_kernel_sites_per_command_equal_the_closed_forms(traced):
+    sites = tracer.kernel_sites_by_command(traced.spans)
+    window_sum = workloads.window_sum
+    assert sites["simulate"] == {"rotation_power": window_sum(1, 60)}
+    assert sites["table1"] == {"rotation_power": 8 * window_sum(1, 40)}
+    assert sites["scatter"]["quintic"] == window_sum(1, 64)
+    assert sites["recover"]["quintic"] == workloads.recover_sites(32)
+    assert sites["weak-limit"] == {"constant": window_sum(193, 50)}
+
+
+def test_evolve_site_steps_equal_the_closed_forms(traced):
+    m = tracer.layer_metrics(traced.spans)
+    window_sum = workloads.window_sum
+    assert m["evolution.site_steps"] == (
+        window_sum(1, 60) + 8 * window_sum(1, 40) + window_sum(193, 50)
+    )
+
+
+def test_undo_restores_every_hook(traced):
+    assert cli.evolve.__module__ == "nlqw.evolution"
+    assert cli.evolve.__name__ == "evolve"
+    for module in (evolution, scattering):
+        assert module.coin_kernel.__module__ == "nlqw.coins"
