@@ -6,10 +6,11 @@ table, log-log decay fits, weak-limit comparisons, scattering series
 diagnostics, and derivative recovery ladders.
 
 Configs are validated against the JSON schema shipped with the package
-before anything runs; unknown keys are rejected. Precedence is command-line
---set overrides, then the config file, then built-in defaults. Every
-command is deterministic and writes a machine-readable summary.json; the
-exit code is 0 exactly when all configured checks pass.
+(by the package's own walker, nlqw._schema) before anything runs; unknown
+keys are rejected. Precedence is command-line --set overrides, then the
+config file, then built-in defaults. Every command is deterministic and
+writes a machine-readable summary.json; the exit code is 0 exactly when all
+configured checks pass.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import os
 import sys
 from typing import Iterable
 
-import jsonschema
 import numpy as np
 
+from ._schema import config_schema
 from .coins import (
     CoinSpec,
     ConstantCoin,
@@ -73,13 +74,6 @@ class ConfigError(Exception):
 
 # ---------------------------------------------------------------------------
 # config plumbing
-
-
-def _load_schema() -> dict:
-    from importlib import resources
-
-    text = resources.files("nlqw").joinpath("config_schema.json").read_text()
-    return json.loads(text)
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -142,13 +136,12 @@ def _load_config(path: str | None, sets: list[str]) -> dict:
     bad = ["/".join(str(k) for k in p) for p in _non_finite_paths(cfg)]
     if bad:
         raise ConfigError("config rejected: non-finite number at " + ", ".join(bad))
-    validator = jsonschema.Draft202012Validator(_load_schema())
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
+    errors = config_schema().errors(cfg)
     if errors:
         lines = []
-        for err in errors:
-            where = "/".join(str(p) for p in err.absolute_path) or "(root)"
-            lines.append(f"  at {where}: {err.message}")
+        for path, message in errors:
+            where = "/".join(str(p) for p in path) or "(root)"
+            lines.append(f"  at {where}: {message}")
         raise ConfigError("config rejected by schema:\n" + "\n".join(lines))
     return cfg
 

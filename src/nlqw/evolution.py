@@ -50,15 +50,17 @@ __all__ = [
 ]
 
 
-def shift_into(z1, z2, v1, v2, lo: int, hi: int) -> tuple[int, int]:
+def shift_into(z1, z2, v1, v2, lo: int, hi: int, width: int = 1) -> tuple[int, int]:
     """Write S(v) in place into buffers (z1, z2) that are zero outside rows
     [lo, hi), where v = (v1, v2) lives (v may view that window); returns the
-    new window (lo - 1, hi + 1), outside which the buffers are zero again."""
-    z1[lo - 1 : hi - 1] = v1
-    z1[hi - 1] = 0.0
-    z2[lo + 1 : hi + 1] = v2
-    z2[lo] = 0.0
-    return lo - 1, hi + 1
+    new window (lo - width, hi + width), outside which the buffers are zero
+    again.  A row is one entry, or `width` entries of flat buffers whose
+    rows each hold `width` runs."""
+    z1[lo - width : hi - width] = v1
+    z1[hi - width : hi] = 0.0
+    z2[lo + width : hi + width] = v2
+    z2[lo : lo + width] = 0.0
+    return lo - width, hi + width
 
 
 def inverse_shift_into(z1, z2, v1, v2, lo: int, hi: int) -> tuple[int, int]:
@@ -157,12 +159,13 @@ def _lp_key(p: float) -> str:
     return "lp_inf" if np.isinf(p) else f"lp_{p:g}"
 
 
-def _non_finite(kern, a1: np.ndarray, a2: np.ndarray, site0: int, step: int) -> str:
-    """Message for a walk that overflowed in `step` on the window at site0."""
+def _non_finite(kern, a1, a2, site0: int, runs: int, step: int) -> str:
+    """Message for a walk that overflowed in `step` on the flat window of
+    `runs` runs at site0."""
     with np.errstate(all="ignore"):
-        w1, w2 = kern(a1.reshape(-1), a2.reshape(-1))
+        w1, w2 = kern(a1, a2)
     bad = np.flatnonzero(~(np.isfinite(w1) & np.isfinite(w2)))
-    where = f" at site {site0 + int(bad[0]) // a1.shape[1]}" if bad.size else ""
+    where = f" at site {site0 + int(bad[0]) // runs}" if bad.size else ""
     return f"overflow or invalid value in step {step}{where}"
 
 
@@ -178,17 +181,20 @@ def walk(
 
     The seeds share origin and window length and advance in lockstep as
     the columns of (size, runs) buffers, so kern sees every run's window in
-    one call.  Observers' arithmetic is elementwise or reduces each run on
-    its own, so each run is bit for bit what it would be alone.  An observer has
+    one call, as the flat (rows * runs,) view of rows [lo, hi).  Observers'
+    arithmetic is elementwise or reduces each run on its own, so each run is
+    bit for bit what it would be alone.  An observer has
     - margin: spare buffer sites per side beyond the walk's own;
     - begin(u1, u2, base, lo, hi): the buffers, row 0's site, the seed rows;
     - observe(t, lo, hi, a1, a2, w1, w2): u(t) on rows [lo, hi) and its coin
-      output, as (rows, runs); returning True stops the walk after this step;
+      output, as the kernel's flat views (reshape(hi - lo, -1) gives
+      (rows, runs)); returning True stops the walk after this step;
     - finish(t, lo, hi): u(t) on rows [lo, hi) is the last state.
 
     Returns observer.finish(...) and per run a dict of the states at the
     snapshot_times reached.  Overflow or an invalid operation in a step
-    raises ValueError naming the step and the first non-finite coin site.
+    raises ValueError naming the step and the first non-finite coin site;
+    in finish, naming the last step.
     """
     origin, n0 = seeds[0].origin, len(seeds[0])
     if any(s.origin != origin or len(s) != n0 for s in seeds):
@@ -197,6 +203,7 @@ def walk(
     off = steps + observer.margin + 1
     size = n0 + 2 * off
     u1, u2 = (np.zeros((size, runs), dtype=np.complex128) for _ in range(2))
+    f1, f2 = u1.reshape(-1), u2.reshape(-1)  # flat views, row after row
     lo, hi = off, off + n0
     u1[lo:hi] = np.column_stack([s.amplitudes[:, 0] for s in seeds])
     u2[lo:hi] = np.column_stack([s.amplitudes[:, 1] for s in seeds])
@@ -207,27 +214,47 @@ def walk(
     want_snap = set(snapshot_times)
 
     def snap(t: int, lo: int, hi: int) -> None:
-        if t in want_snap:
-            for r, out in enumerate(snaps):
-                out[t] = LatticeState(
-                    base + lo, np.column_stack([u1[lo:hi, r], u2[lo:hi, r]])
-                )
+        for r, out in enumerate(snaps):
+            out[t] = LatticeState(
+                base + lo, np.column_stack([u1[lo:hi, r], u2[lo:hi, r]])
+            )
 
-    snap(0, lo, hi)
+    if 0 in want_snap:
+        snap(0, lo, hi)
     t, stop = 0, False
     with np.errstate(over="raise", invalid="raise"):
         while t < steps and not stop:
-            a1, a2 = u1[lo:hi], u2[lo:hi]
+            a1, a2 = f1[lo * runs : hi * runs], f2[lo * runs : hi * runs]
             try:
-                w1, w2 = kern(a1.reshape(-1), a2.reshape(-1))
-                w1, w2 = w1.reshape(a1.shape), w2.reshape(a2.shape)
+                w1, w2 = kern(a1, a2)
                 stop = observer.observe(t, lo, hi, a1, a2, w1, w2)
             except FloatingPointError:
-                raise ValueError(_non_finite(kern, a1, a2, base + lo, t + 1)) from None
-            lo, hi = shift_into(u1, u2, w1, w2, lo, hi)
-            t += 1
-            snap(t, lo, hi)
-    return observer.finish(t, lo, hi), snaps
+                raise ValueError(
+                    _non_finite(kern, a1, a2, base + lo, runs, t + 1)
+                ) from None
+            shift_into(f1, f2, w1, w2, lo * runs, hi * runs, runs)
+            lo, hi, t = lo - 1, hi + 1, t + 1
+            if t in want_snap:
+                snap(t, lo, hi)
+        try:
+            return observer.finish(t, lo, hi), snaps
+        except FloatingPointError:
+            raise ValueError(f"overflow or invalid value after step {t}") from None
+
+
+def _site_norms(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """Per-site norms sqrt(|a1|^2 + |a2|^2) from the squared components,
+    for a caller under walk()'s errstate.  Sites whose sum of squares
+    overflows are recomputed by hypot, so a norm is infinite only where it
+    exceeds the float range, and then raises as well."""
+    try:
+        return np.sqrt(a1.real**2 + a1.imag**2 + a2.real**2 + a2.imag**2)
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(a1.real**2 + a1.imag**2 + a2.real**2 + a2.imag**2)
+        big = np.isinf(norms)
+        norms[big] = np.hypot(np.abs(a1[big]), np.abs(a2[big]))
+        return norms
 
 
 class _Recording:
@@ -258,7 +285,7 @@ class _Recording:
     def _capture(self, t: int, lo: int, a1: np.ndarray, a2: np.ndarray) -> None:
         rec, v = self.rec, self.values
         if self.need_site_norms:
-            norms = np.sqrt(a1.real**2 + a1.imag**2 + a2.real**2 + a2.imag**2)
+            norms = _site_norms(a1, a2)
             if rec.sup_norm:
                 v["sup_norm", None].append(float(norms.max()))
             for p in rec.lp:
@@ -281,7 +308,7 @@ class _Recording:
             v["edge_comp2", None].append(complex(a2[0]))
 
     def observe(self, t, lo, hi, a1, a2, w1, w2) -> bool:
-        self._capture(t, lo, a1.reshape(-1), a2.reshape(-1))
+        self._capture(t, lo, a1, a2)
         return False
 
     def finish(self, t: int, lo: int, hi: int) -> Trajectory:

@@ -105,6 +105,7 @@ class _Residuals:
         )
 
     def observe(self, t, lo, hi, a1, a2, w1, w2) -> bool:
+        a1, a2, w1, w2 = (x.reshape(hi - lo, -1) for x in (a1, a2, w1, w2))
         g1, g2, k1, k2 = self.g1, self.g2, self.k1, self.k2
         # series term d_t = C0^{-1} (C(u) - C0) u, with the difference taken
         # in the coin output frame: when the coin has no intensity-dependent
@@ -210,6 +211,7 @@ class _Pairings:
         self.lo, self.hi = shift_into(c1, c2, s1[lo:hi], s2[lo:hi], lo, hi)
 
     def observe(self, t, lo, hi, a1, a2, w1, w2) -> bool:
+        a1, a2, w1, w2 = (x.reshape(hi - lo, -1) for x in (a1, a2, w1, w2))
         e1, e2, tmp = self.e[0, lo:hi], self.e[1, lo:hi], self.tmp[lo:hi]
         # e_t = (C(u) - C0) u in the coin output frame, as _Residuals takes it
         for e, w, (ma, mb) in zip((e1, e2), (w1, w2), self.c0):

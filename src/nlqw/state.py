@@ -68,9 +68,16 @@ class LatticeState:
         return self.origin + np.arange(len(self))
 
     def site_norms(self) -> np.ndarray:
-        """Pointwise C^2 norms ||u(x)|| over the window."""
-        a = self.amplitudes
-        return np.sqrt(np.abs(a[:, 0]) ** 2 + np.abs(a[:, 1]) ** 2)
+        """Pointwise C^2 norms ||u(x)|| over the window.  Sites whose sum of
+        squares overflows are recomputed by hypot, so a norm is infinite
+        only where it exceeds the float range."""
+        m1, m2 = np.abs(self.amplitudes[:, 0]), np.abs(self.amplitudes[:, 1])
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(m1**2 + m2**2)
+        big = np.isinf(norms)
+        if big.any():
+            norms[big] = np.hypot(m1[big], m2[big])
+        return norms
 
     def value_at(self, x: int) -> np.ndarray:
         """Amplitude pair at site x, zero outside the window."""

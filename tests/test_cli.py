@@ -1,17 +1,24 @@
 """End-to-end runs of the command-line front end against tiny configs."""
 
+import copy
 import csv
 import glob
 import json
 import math
 import os
+import subprocess
+import sys
 import types
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nlqw
 from nlqw import cli, load_state_csv, soliton_amplitude
+from nlqw._schema import Schema, config_schema
 from nlqw.cli import main
 
 R = 1.0 / math.sqrt(2.0)
@@ -448,6 +455,20 @@ class TestWeakLimit:
         assert not summary["ok"]
         assert "checks failed: kolmogorov" in capsys.readouterr().err
 
+    def test_time_beyond_the_bound_is_rejected_before_any_step(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("a walk ran")
+
+        monkeypatch.setattr(cli, "evolve", no_walk)
+        code, out, _ = run("weak-limit", tmp_path, self.cfg(time=10**6 + 1))
+        assert code == 2
+        assert "at weak_limit/time: 1000001 is greater than the maximum" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def test_needs_a_constant_coin(self, tmp_path, capsys):
         cfg = self.cfg()
         cfg["coin"] = {"family": "galton", "g": 0.5}
@@ -634,3 +655,171 @@ class TestNonFiniteGuard:
         assert code == 2
         assert "in step 1 at site 0" in err
         assert "RuntimeWarning" not in err
+
+
+# ---------------------------------------------------------------------------
+# the package's schema walker against jsonschema
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+def shipped_configs():
+    paths = sorted(glob.glob(os.path.join(CONFIGS, "*.json")))
+    configs = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            configs.append(json.load(fh))
+    return configs
+
+
+def overlapping_schema():
+    """The shipped schema with oneOf branches that overlap: a second galton
+    branch for coins and an integer branch for initial.scale."""
+    schema = copy.deepcopy(config_schema().root)
+    coins = schema["$defs"]["coin"]["oneOf"]
+    coins.append(copy.deepcopy(coins[1]))
+    scale = schema["$defs"]["initial"]["oneOf"][0]["properties"]["scale"]
+    scale["oneOf"].append({"type": "integer"})
+    return schema
+
+
+BAD_CONFIGS = [
+    {"schema_version": 1, "bogus": 3},
+    {"schema_version": 1, "table1": {"steps": 10, "decaying_tolerance": 0.1}},
+    {"schema_version": 2, "coin": HADAMARD_COIN},
+    {"schema_version": True},
+    {"schema_version": 1, "initial": {"kind": "delta", "component": True}},
+    {"schema_version": 1, "coin": HADAMARD_COIN, "record": {"lp": [-2.0]}},
+    {"schema_version": 1, "record": {"lp": [0]}},
+    {"schema_version": 1, "steps": True},
+    {"schema_version": 1, "steps": -1},
+    {"schema_version": 1, "steps": -1.5},
+    {"schema_version": 1, "coin": {"family": "bogus", "g": 1.0}},
+    {"schema_version": 1, "coin": {"family": "thirring", "g": 1.0}},
+    {"schema_version": 1, "coin": {"family": "galton", "g": 1, "theta": 0}},
+    {"schema_version": 1, "initial": {"kind": "delta", "scale": [1, 2, 3]}},
+    {"schema_version": 1, "initial": {"kind": "csv", "path": ""}},
+    {"schema_version": 1, "decay": {"runs": [{"label": "a b", "coin": 3}]}},
+    {"schema_version": 1, "recover": {"ratio_bounds": [1], "t_max": 10**5 + 1}},
+    {"schema_version": 1, "weak_limit": {"time": 10**6 + 1}},
+    [],
+    "config",
+]
+# integral floats are integers, and equal the integers const and enum name
+GOOD_CONFIGS = [
+    {"schema_version": 1.0, "steps": 2.0, "weak_limit": {"time": 1e6}},
+    {"schema_version": 1, "initial": {"kind": "delta", "component": 2.0}},
+]
+# valid, but each matches two branches of overlapping_schema's oneOf
+OVERLAPPING_CONFIGS = [
+    {"schema_version": 1, "coin": {"family": "galton", "g": 0.5}},
+    {"schema_version": 1, "initial": {"kind": "delta", "scale": 2.0}},
+]
+KEYS = ["steps", "coin", "record", "family", "g", "p", "time", "lp", "kind", "bogus"]
+VALUES = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.integers(-3, 3),
+    st.sampled_from([0.0, 1.0, 2.0, -0.5, 2.5, 1e300, 10**5 + 1, 10**6 + 1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.sampled_from(["constant", "galton", "delta", "csv", "theorem"]),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.just({}),
+    st.sampled_from([HADAMARD_COIN, QUINTIC_COIN, {"family": "galton", "g": 1}]),
+)
+
+
+def node_paths(node, path=()):
+    yield path
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from node_paths(value, path + (key,))
+
+
+def mutate(data, cfg):
+    """One drawn change to cfg: a node replaced or deleted, or a key added."""
+    path = data.draw(st.sampled_from(list(node_paths(cfg))))
+    action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+    parent, node = None, cfg
+    for key in path:
+        parent, node = node, node[key]
+    if action == "replace":
+        value = copy.deepcopy(data.draw(VALUES))
+        if parent is None:
+            return value
+        parent[path[-1]] = value
+    elif action == "delete" and isinstance(parent, dict):
+        del parent[path[-1]]
+    elif action == "add" and isinstance(node, dict):
+        node[data.draw(st.sampled_from(KEYS))] = copy.deepcopy(data.draw(VALUES))
+    return cfg
+
+
+def error_paths(schema, cfg):
+    """Sorted error paths of cfg under schema from both validators."""
+    jsonschema = pytest.importorskip("jsonschema")
+    theirs = jsonschema.Draft202012Validator(schema).iter_errors(cfg)
+    ours = [path for path, _ in Schema(schema).errors(cfg)]
+    return ours, sorted(tuple(e.absolute_path) for e in theirs)
+
+
+class TestSchemaWalker:
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_shipped_and_bad_configs_agree_with_jsonschema(self, overlap):
+        schema = overlapping_schema() if overlap else config_schema().root
+        for cfg in shipped_configs() + GOOD_CONFIGS:
+            ours, theirs = error_paths(schema, cfg)
+            assert ours == theirs
+            assert overlap or ours == []
+        for cfg in BAD_CONFIGS:
+            ours, theirs = error_paths(schema, cfg)
+            assert ours == theirs and ours, cfg
+        for cfg in OVERLAPPING_CONFIGS:
+            ours, theirs = error_paths(schema, cfg)
+            assert ours == theirs and bool(ours) == overlap, cfg
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_configs_agree_with_jsonschema(self, overlap, data):
+        schema = overlapping_schema() if overlap else config_schema().root
+        cfg = copy.deepcopy(data.draw(st.sampled_from(shipped_configs())))
+        for _ in range(data.draw(st.integers(1, 3))):
+            cfg = mutate(data, cfg)
+        ours, theirs = error_paths(schema, cfg)
+        assert ours == theirs
+
+    @pytest.mark.parametrize(
+        "where, keyword, value",
+        [
+            (("properties", "recover", "properties", "ratio_bounds"), "uniqueItems", True),
+            (("$defs", "complex_pair"), "prefixItems", [{"type": "number"}]),
+            (("properties", "record"), "additionalProperties", {"type": "number"}),
+            (("properties", "steps"), "$ref", "other.json#/$defs/walk_steps"),
+            (("properties", "output", "properties", "gnuplot"), "type", "null"),
+        ],
+    )
+    def test_unimplemented_schema_keywords_are_refused(self, where, keyword, value):
+        schema = copy.deepcopy(config_schema().root)
+        node = schema
+        for key in where:
+            node = node[key]
+        node[keyword] = value
+        with pytest.raises(ValueError, match="config schema"):
+            Schema(schema)
+
+    def test_loading_a_config_does_not_import_jsonschema(self):
+        src = os.path.dirname(os.path.dirname(nlqw.__file__))
+        code = (
+            "import sys, nlqw.cli; nlqw.cli._load_config(sys.argv[1], []); "
+            "print(sorted(m for m in sys.modules if m.startswith('jsonschema')))"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", code, os.path.join(CONFIGS, "recover.json")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "[]"

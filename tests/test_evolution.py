@@ -551,9 +551,25 @@ class TestNonFiniteGuard:
         traj = evolve(u0, ConstantCoin(C0), 5)
         assert np.isfinite(traj.final.amplitudes).all()
 
-    def test_recorder_overflow_names_the_step_without_a_site(self):
-        # the coin keeps these amplitudes finite, but their squared site
-        # norms overflow in the recorder
+    def test_recorder_norms_of_finite_amplitudes_stay_finite(self):
+        # squared, these amplitudes overflow; the recorder's site norms fall
+        # back to hypot there (the frozen-engine test pins the other bits)
         u0 = scaled(delta_state(1, 0), 1e160)
+        traj = evolve(u0, ConstantCoin(C0), 5, Recorder(sup_norm=True, lp=(np.inf,)))
+        final = traj.final.amplitudes
+        assert traj.series["sup_norm"][0] == 1e160
+        want = np.hypot(abs(final[:, 0]), abs(final[:, 1])).max()
+        assert traj.series["sup_norm"][-1] == want
+        assert traj.series["lp_inf"].tobytes() == traj.series["sup_norm"].tobytes()
+
+    def test_norm_beyond_the_float_range_names_the_step(self):
+        # the identity coin keeps both components finite, but their norm
+        # 1.3e308 * sqrt(2) exceeds the float range
+        u0 = LatticeState(0, np.array([[1.3e308, 1.3e308]], dtype=np.complex128))
         with pytest.raises(ValueError, match="in step 1$"):
-            evolve(u0, ConstantCoin(C0), 5, Recorder(sup_norm=True))
+            evolve(u0, ConstantCoin(np.eye(2)), 3, Recorder(sup_norm=True))
+
+    def test_final_state_norm_overflow_names_the_last_step(self):
+        u0 = LatticeState(0, np.array([[1.3e308, 1.3e308]], dtype=np.complex128))
+        with pytest.raises(ValueError, match="after step 0$"):
+            evolve(u0, ConstantCoin(np.eye(2)), 0, Recorder(sup_norm=True))

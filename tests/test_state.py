@@ -1,5 +1,7 @@
 """Norms, probabilities, inner products, and CSV serialization of states."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -152,6 +154,25 @@ class TestInnerProduct:
         z = inner_product(u, u)
         assert z.imag == pytest.approx(0.0, abs=1e-13)
         assert z.real == pytest.approx(lp_norm(u, 2.0) ** 2, abs=1e-12)
+
+
+class TestSiteNorms:
+    @given(u=lattice_states())
+    @settings(max_examples=50, deadline=None)
+    def test_bits_of_the_squared_form(self, u):
+        a = u.amplitudes
+        want = np.sqrt(np.abs(a[:, 0]) ** 2 + np.abs(a[:, 1]) ** 2)
+        assert u.site_norms().tobytes() == want.tobytes()
+
+    def test_overflowing_squares_fall_back_to_hypot(self):
+        amp = np.array([[3e200, 4e200j], [0.6, 0.8], [1.3e308, 1.3e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = LatticeState(0, amp[:2]).site_norms()
+        assert norms[0] == np.hypot(3e200, 4e200)
+        assert norms[1] == np.sqrt(0.6**2 + 0.8**2)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert np.isinf(LatticeState(0, amp[2:]).site_norms()[0])
 
 
 class TestArgmaxPosition:
