@@ -299,13 +299,21 @@ def _fourier_values(u: LatticeState, eta: np.ndarray) -> np.ndarray:
 
     Horner's rule in z = e^{-i eta} over the window, then one phase for the
     window's origin, so memory is O(len(eta)) whatever the window's length.
+    Each component has its own contiguous accumulator.  The products keep
+    the order acc * z, since complex products are not bitwise commutative,
+    and are not taken in place: an in-place product of one-element arrays
+    rounds differently.
     """
-    z = np.exp(-1j * eta)[:, None]
-    acc = np.zeros((len(eta), 2), dtype=np.complex128)
-    for pair in u.amplitudes[::-1]:
-        acc *= z
-        acc += pair
-    return acc * np.exp(-1j * u.origin * eta)[:, None]
+    z = np.exp(-1j * eta)
+    acc1 = np.zeros(len(eta), dtype=np.complex128)
+    acc2 = np.zeros(len(eta), dtype=np.complex128)
+    for c1, c2 in u.amplitudes[::-1].tolist():
+        acc1 = acc1 * z
+        acc1 += c1
+        acc2 = acc2 * z
+        acc2 += c2
+    phase = np.exp(-1j * u.origin * eta)
+    return np.column_stack([acc1 * phase, acc2 * phase])
 
 
 # Velocity points per block of _weight_function: the working set is a few

@@ -189,7 +189,21 @@ def lp_norm(u: LatticeState, p: float) -> float:
     norms = u.site_norms()
     if np.isinf(p):
         return float(np.max(norms))
-    return float(np.sum(norms**p) ** (1.0 / p))
+    return lp_of_norms(norms, p)
+
+
+def lp_of_norms(norms: np.ndarray, p: float) -> float:
+    """lp_norm from precomputed site norms (p finite, already validated):
+    (sum norms^p)^(1/p).  Where that sum overflows, the norms are scaled
+    by their maximum m first, m (sum (norms/m)^p)^(1/p), so the norm is
+    infinite only where it exceeds the float range."""
+    with np.errstate(over="ignore"):
+        total = np.sum(norms**p)
+    if np.isinf(total):
+        m = norms.max()
+        if np.isfinite(m):
+            return float(m * np.sum((norms / m) ** p) ** (1.0 / p))
+    return float(total ** (1.0 / p))
 
 
 def weak_lp_norm(u: LatticeState, p: float) -> float:

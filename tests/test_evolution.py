@@ -36,6 +36,7 @@ from nlqw import (
     soliton_amplitude,
     step,
 )
+from nlqw import evolution
 from nlqw.coins import coin_kernel
 from nlqw.state import weak_lp_of_norms
 
@@ -562,6 +563,15 @@ class TestNonFiniteGuard:
         assert traj.series["sup_norm"][-1] == want
         assert traj.series["lp_inf"].tobytes() == traj.series["sup_norm"].tobytes()
 
+    def test_recorder_lp_of_finite_amplitudes_stays_finite(self):
+        # the sum of squared site norms overflows; lp scales by the maximum
+        u0 = scaled(delta_state(1, 0), 1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = evolve(u0, ConstantCoin(C0), 5, Recorder(lp=(2.0,)))
+        assert traj.series["lp_2"][0] == 1e160
+        assert traj.series["lp_2"] == pytest.approx(1e160, rel=1e-14)
+
     def test_norm_beyond_the_float_range_names_the_step(self):
         # the identity coin keeps both components finite, but their norm
         # 1.3e308 * sqrt(2) exceeds the float range
@@ -573,3 +583,114 @@ class TestNonFiniteGuard:
         u0 = LatticeState(0, np.array([[1.3e308, 1.3e308]], dtype=np.complex128))
         with pytest.raises(ValueError, match="after step 0$"):
             evolve(u0, ConstantCoin(np.eye(2)), 0, Recorder(sup_norm=True))
+
+
+# ---------------------------------------------------------------------------
+# Subnormal flush: walk() zeroes components below 2^-1022 every
+# _FLUSH_STEPS steps; nothing else moves
+
+TINY = np.finfo(np.float64).tiny
+
+
+def float_view(*parts):
+    return np.concatenate(parts).view(np.float64)
+
+
+def band(x):
+    """Mask of the nonzero entries below the smallest normal double."""
+    return (x != 0.0) & (np.abs(x) < TINY)
+
+
+class _Watch:
+    """walk() observer that checks each flushed state and keeps the final
+    state of every run."""
+
+    margin = 0
+
+    def __init__(self):
+        self.flushed, self.band_seen, self.negative_zeros = 0, 0, 0
+
+    def begin(self, u1, u2, base, lo, hi):
+        self.u1, self.u2, self.base = u1, u2, base
+
+    def observe(self, t, lo, hi, a1, a2, w1, w2):
+        x = float_view(a1, a2)
+        if t > 0 and t % evolution._FLUSH_STEPS == 0:
+            assert not band(x).any(), t
+            self.flushed += 1
+            self.negative_zeros += np.count_nonzero((x == 0.0) & np.signbit(x))
+        else:
+            self.band_seen = max(self.band_seen, np.count_nonzero(band(x)))
+        return False
+
+    def finish(self, t, lo, hi):
+        return [
+            LatticeState(self.base + lo, np.column_stack([c1[lo:hi], c2[lo:hi]]))
+            for c1, c2 in zip(self.u1.T, self.u2.T)
+        ]
+
+
+def weak_limit_packet(sigma=24):
+    """The benchmark's weak-limit input: a Gaussian packet of 8 sigma + 1
+    sites with a complex polarisation."""
+    x = np.arange(-4 * sigma, 4 * sigma + 1)
+    env = np.exp(-(x * x) / (4.0 * sigma * sigma))
+    env /= np.linalg.norm(env)
+    pol = np.array([np.cos(1.1), np.exp(2.3j) * np.sin(1.1)])
+    return LatticeState(-4 * sigma, env[:, None] * pol[None, :])
+
+
+class TestSubnormalFlush:
+    def test_flush_zeroes_the_band_and_keeps_zero_signs(self):
+        sub = 5e-324
+        x = np.array([0.0, -0.0, sub, -sub, TINY / 3, -TINY / 3, TINY, -TINY, 1.0, -2e-300])
+        want = np.array([0.0, -0.0, 0.0, -0.0, 0.0, -0.0, TINY, -TINY, 1.0, -2e-300])
+        # 1001 copies span several of the flush's blocks, ending mid-block
+        x, want = np.tile(x, 1001), np.tile(want, 1001)
+        evolution.flush_subnormals(x)
+        assert x.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "spec", [ConstantCoin(C0), soliton_spec(-0.6)], ids=["constant", "rotation_power"]
+    )
+    def test_no_band_after_any_flush_step(self, spec):
+        watch = _Watch()
+        steps = 3200
+        evolution.walk([delta_state(1, 0)], coin_kernel(spec), steps, watch)
+        assert watch.flushed == steps // evolution._FLUSH_STEPS - 1
+        # the band forms between flushes, and exact zeros keep their sign
+        assert watch.band_seen > 0
+        assert watch.negative_zeros > 0
+
+    @pytest.mark.parametrize(
+        "u0, spec, steps",
+        [
+            (weak_limit_packet(), ConstantCoin(C0), 5000),
+            (delta_state(1, 0), soliton_spec(-0.6), 4500),
+        ],
+        ids=["packet", "rotation_power"],
+    )
+    def test_only_the_band_departs_from_the_unflushed_loop(self, u0, spec, steps):
+        rec = Recorder(
+            sup_norm=True, lp=(2.0,), weak_lp=(4.0,), argmax=True, threshold=1e-3
+        )
+        final, series, _, _ = reference_evolve(u0, spec, steps, rec)
+        traj = evolve(u0, spec, steps, rec)
+        got, want = float_view(traj.final.amplitudes), float_view(final.amplitudes)
+        assert traj.final.origin == final.origin
+        differ = got.view(np.uint64) != want.view(np.uint64)
+        assert differ.any()
+        assert max(np.abs(got[differ]).max(), np.abs(want[differ]).max()) < 1e-280
+        for key in ("sup_norm", "lp_2", "weak_lp_4", "argmax"):
+            assert traj.series[key].tobytes() == series[key].tobytes(), key
+
+    def test_lockstep_runs_in_the_band_match_their_lone_runs(self):
+        seeds = [random_state(5, seed) for seed in range(4)]
+        kern = coin_kernel(ConstantCoin(C0))
+        steps = 3000
+        watch = _Watch()
+        batch, _ = evolution.walk(seeds, kern, steps, watch)
+        assert watch.band_seen > 0
+        for seed, run in zip(seeds, batch):
+            (alone,), _ = evolution.walk([seed], kern, steps, _Watch())
+            assert same_state(run, alone)

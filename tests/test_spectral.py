@@ -321,6 +321,17 @@ def dense_fourier_values(u, eta):
     return np.exp(-1j * np.outer(eta, u.sites.astype(np.float64))) @ u.amplitudes
 
 
+def broadcast_fourier_values(u, eta):
+    """Frozen copy of the former _fourier_values: Horner's rule on one
+    (n, 2) accumulator against a broadcast (n, 1) z."""
+    z = np.exp(-1j * eta)[:, None]
+    acc = np.zeros((len(eta), 2), dtype=np.complex128)
+    for pair in u.amplitudes[::-1]:
+        acc *= z
+        acc += pair
+    return acc * np.exp(-1j * u.origin * eta)[:, None]
+
+
 def density_and_cdf(u, a, b, grid):
     """weak_limit_density and weak_limit_cdf from an empty integrand cache."""
     spectral._angle_integrand.cache_clear()
@@ -342,6 +353,16 @@ class TestWeakLimitQuadrature:
         l1 = np.sum(np.abs(u.amplitudes))
         assert got.shape == (eta.size, 2)
         assert np.max(np.abs(got - want)) <= 1e-12 * l1
+
+    @pytest.mark.parametrize("n_eta", [1, 2048, 2049])
+    @pytest.mark.parametrize("n_sites", [1, 193, 1000])
+    def test_fourier_values_match_the_former_broadcast_form(self, n_sites, n_eta):
+        u = packet_state() if n_sites == 193 else random_state(n_sites, 7, seed=n_sites)
+        eta = np.random.default_rng(n_eta).uniform(-np.pi, 2.0 * np.pi, n_eta)
+        got = spectral._fourier_values(u, eta)
+        want = broadcast_fourier_values(u, eta)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("pair", [HADAMARD_PAIR, COMPLEX_PAIR])
     @pytest.mark.parametrize("state", ["packet", "random"])

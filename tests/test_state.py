@@ -83,6 +83,24 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(delta_state(1, 0), 0.5)
 
+    @given(u=lattice_states(), p=st.sampled_from([1.0, 1.5, 2.0, 4.0, 5.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_bits_of_the_power_sum(self, u, p):
+        want = float(np.sum(u.site_norms() ** p) ** (1.0 / p))
+        assert np.float64(lp_norm(u, p)).tobytes() == np.float64(want).tobytes()
+
+    def test_overflowing_power_sum_scales_by_the_maximum(self):
+        u = scaled(delta_state(1, 0), 1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lp_norm(u, 2.0) == 1e160
+            two = LatticeState(0, np.array([[3e200, 0.0], [0.0, 4e200j]]))
+            assert lp_norm(two, 2.0) == pytest.approx(5e200, rel=1e-15)
+            assert lp_norm(two, 1.0) == pytest.approx(7e200, rel=1e-15)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            huge = LatticeState(0, np.array([[1.5e308, 0.0], [1.5e308, 0.0]]))
+            assert np.isinf(lp_norm(huge, 2.0))
+
     @given(u=lattice_states(), p=st.sampled_from([1.0, 2.0, 4.0, np.inf]))
     @settings(max_examples=60, deadline=None)
     def test_absolutely_homogeneous(self, u, p):
