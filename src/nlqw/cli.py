@@ -32,7 +32,6 @@ from .coins import (
     RotationPowerCoin,
     coin_from_json,
     linear_part,
-    nonlinear_partial_derivatives,
 )
 from .evolution import Recorder, evolve, soliton_amplitude
 from .scattering import recovery_ladder, scattering_series
@@ -108,10 +107,11 @@ def _apply_set(cfg: dict, assignment: str) -> None:
 
 
 def _non_finite_paths(node, path: tuple = ()) -> list[tuple]:
-    """Key paths of the NaN and infinite numbers in a parsed config; Python's
-    json reads NaN, Infinity and overflowing literals such as 1e999."""
-    if isinstance(node, float):
-        return [] if math.isfinite(node) else [path]
+    """Key paths of the NaN and infinite numbers in a parsed config, and of
+    the integers beyond the float range; Python's json reads NaN, Infinity,
+    overflowing literals such as 1e999 and integers of any size."""
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        return [] if abs(node) <= sys.float_info.max else [path]
     if isinstance(node, (dict, list)):
         items = node.items() if isinstance(node, dict) else enumerate(node)
         return [bad for k, v in items for bad in _non_finite_paths(v, path + (k,))]
@@ -204,11 +204,14 @@ def _series_csv(out: str, name: str, values: np.ndarray, header: str) -> str:
     return f"series_{name}.csv"
 
 
-def _write_summary(out: str, summary: dict) -> None:
-    path = os.path.join(out, "summary.json")
+def _write_json(path: str, obj: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_summary(out: str, summary: dict) -> None:
+    _write_json(os.path.join(out, "summary.json"), summary)
 
 
 def _write_gnuplot(out: str, lines: list[str]) -> str:
@@ -234,6 +237,32 @@ def _check(name: str, passed: bool, **extra) -> dict:
     entry = {"name": name, "passed": bool(passed)}
     entry.update(extra)
     return entry
+
+
+def _finish(
+    cfg: dict,
+    out: str,
+    command: str,
+    files: list[str],
+    checks: list[dict],
+    plot: list[str] | None,
+    **fields,
+) -> dict:
+    """A command's common ending: plot.gp from the gnuplot lines `plot`
+    when output.gnuplot is set and there is a plot, then summary.json with
+    the command's own fields; returns the summary."""
+    if plot and cfg.get("output", {}).get("gnuplot", False):
+        files.append(_write_gnuplot(out, plot))
+    summary = {
+        "command": command,
+        "schema_version": _SCHEMA_VERSION,
+        **fields,
+        "files": files,
+        "checks": checks,
+        "ok": all(c["passed"] for c in checks),
+    }
+    _write_summary(out, summary)
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -266,30 +295,23 @@ def _cmd_simulate(cfg: dict, out: str) -> dict:
         save_state_csv(traj.final, os.path.join(out, "final_state.csv"))
         files.append("final_state.csv")
 
-    if cfg.get("output", {}).get("gnuplot", False):
-        terms = [
-            f"'{f}' using 1:2 with lines title '{f[7:-4]}'"
-            for f in files
-            if f.startswith("series_")
-        ]
-        if terms:
-            files.append(
-                _write_gnuplot(out, ["set xlabel 't'", "plot " + ", ".join(terms)])
-            )
-
-    summary = {
-        "command": "simulate",
-        "schema_version": _SCHEMA_VERSION,
-        "steps": steps,
-        "norm_initial": float(lp_norm(u0, 2.0)),
-        "norm_final": float(lp_norm(traj.final, 2.0)),
-        "sup_norm_final": float(lp_norm(traj.final, np.inf)),
-        "files": files,
-        "checks": [],
-        "ok": True,
-    }
-    _write_summary(out, summary)
-    return summary
+    terms = [
+        f"'{f}' using 1:2 with lines title '{f[7:-4]}'"
+        for f in files
+        if f.startswith("series_")
+    ]
+    return _finish(
+        cfg,
+        out,
+        "simulate",
+        files,
+        [],
+        ["set xlabel 't'", "plot " + ", ".join(terms)] if terms else None,
+        steps=steps,
+        norm_initial=float(lp_norm(u0, 2.0)),
+        norm_final=float(lp_norm(traj.final, 2.0)),
+        sup_norm_final=float(lp_norm(traj.final, np.inf)),
+    )
 
 
 def _cmd_table1(cfg: dict, out: str) -> dict:
@@ -327,15 +349,9 @@ def _cmd_table1(cfg: dict, out: str) -> dict:
 
     rows = (
         ",".join(
-            [
-                str(r["p"]),
-                _fmt(r["g"]),
-                _fmt(r["theory"]),
-                _fmt(r["measured"]),
-                _fmt(r["abs_error"]),
-                "true" if r["matches_theory"] else "false",
-                "true" if r["decaying"] else "false",
-            ]
+            [str(r["p"])]
+            + [_fmt(r[k]) for k in ("g", "theory", "measured", "abs_error")]
+            + ["true" if r[k] else "false" for k in ("matches_theory", "decaying")]
         )
         for r in results
     )
@@ -344,8 +360,6 @@ def _cmd_table1(cfg: dict, out: str) -> dict:
         "p,g,theory,measured,abs_error,matches_theory,decaying",
         rows,
     )
-    files = ["table1.csv"]
-
     checks = [
         _check(
             f"cell_p{r['p']}_g{r['g']!r}",
@@ -356,31 +370,23 @@ def _cmd_table1(cfg: dict, out: str) -> dict:
         )
         for r in results
     ]
-    if cfg.get("output", {}).get("gnuplot", False):
-        files.append(
-            _write_gnuplot(
-                out,
-                [
-                    "set xlabel 'cell'",
-                    "set ylabel 'edge amplitude'",
-                    "plot 'table1.csv' using 0:3 with points title 'theory', "
-                    "'table1.csv' using 0:4 with points title 'measured'",
-                ],
-            )
-        )
-
-    summary = {
-        "command": "table1",
-        "schema_version": _SCHEMA_VERSION,
-        "steps": steps,
-        "tolerance": tol,
-        "cells": results,
-        "files": files,
-        "checks": checks,
-        "ok": all(c["passed"] for c in checks),
-    }
-    _write_summary(out, summary)
-    return summary
+    plot = [
+        "set xlabel 'cell'",
+        "set ylabel 'edge amplitude'",
+        "plot 'table1.csv' using 0:3 with points title 'theory', "
+        "'table1.csv' using 0:4 with points title 'measured'",
+    ]
+    return _finish(
+        cfg,
+        out,
+        "table1",
+        ["table1.csv"],
+        checks,
+        plot,
+        steps=steps,
+        tolerance=tol,
+        cells=results,
+    )
 
 
 def _cmd_decay(cfg: dict, out: str) -> dict:
@@ -412,6 +418,7 @@ def _cmd_decay(cfg: dict, out: str) -> dict:
     files: list[str] = []
     checks: list[dict] = []
     fits: dict[str, dict] = {}
+    plot_terms: list[str] = []
     for run, (label, series, fit) in zip(runs, outputs):
         csv_name = f"decay_{label}.csv"
         _write_csv(
@@ -421,70 +428,41 @@ def _cmd_decay(cfg: dict, out: str) -> dict:
         )
         files.append(csv_name)
         fit_name = f"fit_{label}.json"
-        with open(os.path.join(out, fit_name), "w", encoding="utf-8", newline="") as fh:
-            json.dump(fit.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(out, fit_name), fit.to_json())
         files.append(fit_name)
-        fits[label] = {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "t_min": fit.t_min,
-            "t_max": fit.t_max,
-            "residual_rms": fit.residual_rms,
-        }
+        fits[label] = {**fit.to_json(), "residual_rms": fit.residual_rms}
         expect = run.get("expect", {})
-        if "slope" in expect:
-            tol = float(expect.get("slope_tol", 0.05))
-            checks.append(
-                _check(
-                    f"{label}_slope",
-                    abs(fit.slope - float(expect["slope"])) <= tol,
-                    value=fit.slope,
-                    expected=float(expect["slope"]),
-                    tolerance=tol,
+        for key in ("slope", "intercept"):
+            if key in expect:
+                value, tol = getattr(fit, key), float(expect.get(f"{key}_tol", 0.05))
+                checks.append(
+                    _check(
+                        f"{label}_{key}",
+                        abs(value - float(expect[key])) <= tol,
+                        value=value,
+                        expected=float(expect[key]),
+                        tolerance=tol,
+                    )
                 )
-            )
-        if "intercept" in expect:
-            tol = float(expect.get("intercept_tol", 0.05))
-            checks.append(
-                _check(
-                    f"{label}_intercept",
-                    abs(fit.intercept - float(expect["intercept"])) <= tol,
-                    value=fit.intercept,
-                    expected=float(expect["intercept"]),
-                    tolerance=tol,
-                )
-            )
-
-    if cfg.get("output", {}).get("gnuplot", False):
-        plot_terms = []
-        for label in labels:
-            plot_terms.append(f"'decay_{label}.csv' using 1:2 with lines title '{label}'")
-            f = fits[label]
-            plot_terms.append(
-                f"10**({_fmt(f['intercept'])}) * x**({_fmt(f['slope'])}) "
-                f"title '{label} fit'"
-            )
-        files.append(
-            _write_gnuplot(
-                out,
-                ["set logscale xy", "set xlabel 't'", "plot " + ", ".join(plot_terms)],
-            )
+        plot_terms.append(f"'{csv_name}' using 1:2 with lines title '{label}'")
+        plot_terms.append(
+            f"10**({_fmt(fit.intercept)}) * x**({_fmt(fit.slope)}) "
+            f"title '{label} fit'"
         )
 
-    summary = {
-        "command": "decay",
-        "schema_version": _SCHEMA_VERSION,
-        "t_min": t_min,
-        "t_max": t_max,
-        "steps": steps,
-        "fits": fits,
-        "files": files,
-        "checks": checks,
-        "ok": all(c["passed"] for c in checks),
-    }
-    _write_summary(out, summary)
-    return summary
+    plot = ["set logscale xy", "set xlabel 't'", "plot " + ", ".join(plot_terms)]
+    return _finish(
+        cfg,
+        out,
+        "decay",
+        files,
+        checks,
+        plot,
+        t_min=t_min,
+        t_max=t_max,
+        steps=steps,
+        fits=fits,
+    )
 
 
 def _cmd_weak_limit(cfg: dict, out: str) -> dict:
@@ -518,8 +496,6 @@ def _cmd_weak_limit(cfg: dict, out: str) -> dict:
     ):
         rows = (f"{_fmt(float(v))},{_fmt(float(y))}" for v, y in zip(v_grid, values))
         _write_csv(os.path.join(out, name), header, rows)
-    files = ["density.csv", "empirical_cdf.csv", "theory_cdf.csv"]
-
     checks = [
         _check("kolmogorov", ks <= ks_threshold, value=ks, threshold=ks_threshold),
         _check(
@@ -530,31 +506,23 @@ def _cmd_weak_limit(cfg: dict, out: str) -> dict:
             tolerance=mass_tolerance,
         ),
     ]
-    if cfg.get("output", {}).get("gnuplot", False):
-        files.append(
-            _write_gnuplot(
-                out,
-                [
-                    "set xlabel 'v'",
-                    "plot 'density.csv' using 1:2 with lines title 'density', "
-                    "'empirical_cdf.csv' using 1:2 with lines title 'empirical cdf', "
-                    "'theory_cdf.csv' using 1:2 with lines title 'limit cdf'",
-                ],
-            )
-        )
-
-    summary = {
-        "command": "weak-limit",
-        "schema_version": _SCHEMA_VERSION,
-        "time": time,
-        "kolmogorov_distance": float(ks),
-        "density_mass": mass,
-        "files": files,
-        "checks": checks,
-        "ok": all(c["passed"] for c in checks),
-    }
-    _write_summary(out, summary)
-    return summary
+    plot = [
+        "set xlabel 'v'",
+        "plot 'density.csv' using 1:2 with lines title 'density', "
+        "'empirical_cdf.csv' using 1:2 with lines title 'empirical cdf', "
+        "'theory_cdf.csv' using 1:2 with lines title 'limit cdf'",
+    ]
+    return _finish(
+        cfg,
+        out,
+        "weak-limit",
+        ["density.csv", "empirical_cdf.csv", "theory_cdf.csv"],
+        checks,
+        plot,
+        time=time,
+        kolmogorov_distance=float(ks),
+        density_mass=mass,
+    )
 
 
 def _cmd_scatter(cfg: dict, out: str) -> dict:
@@ -584,43 +552,29 @@ def _cmd_scatter(cfg: dict, out: str) -> dict:
 
     _write_csv(os.path.join(out, "scattering.csv"), "t,tail_norm,defect", rows())
     save_state_csv(report.u_plus, os.path.join(out, "u_plus.csv"))
-    files = ["scattering.csv", "u_plus.csv"]
 
-    checks = [_check("converged", report.converged, tolerance=tol)]
-    if cfg.get("output", {}).get("gnuplot", False):
-        files.append(
-            _write_gnuplot(
-                out,
-                [
-                    "set logscale y",
-                    "set xlabel 't'",
-                    "plot 'scattering.csv' using 1:2 with lines title 'tail norm', "
-                    "'scattering.csv' using 1:3 with points title 'defect'",
-                ],
-            )
-        )
-
-    summary = {
-        "command": "scatter",
-        "schema_version": _SCHEMA_VERSION,
-        "horizon": horizon,
-        "tolerance": tol,
-        "converged": bool(report.converged),
-        "defects": {str(t): sampled[t] for t in sorted(sampled)},
-        "files": files,
-        "checks": checks,
-        "ok": all(c["passed"] for c in checks),
-    }
-    _write_summary(out, summary)
-    return summary
+    plot = [
+        "set logscale y",
+        "set xlabel 't'",
+        "plot 'scattering.csv' using 1:2 with lines title 'tail norm', "
+        "'scattering.csv' using 1:3 with points title 'defect'",
+    ]
+    return _finish(
+        cfg,
+        out,
+        "scatter",
+        ["scattering.csv", "u_plus.csv"],
+        [_check("converged", report.converged, tolerance=tol)],
+        plot,
+        horizon=horizon,
+        tolerance=tol,
+        converged=bool(report.converged),
+        defects={str(t): sampled[t] for t in sorted(sampled)},
+    )
 
 
 def _cmd_recover(cfg: dict, out: str) -> dict:
     spec = _coin_of(cfg)
-    try:
-        nonlinear_partial_derivatives(spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     c0 = linear_part(spec)
     sec = cfg.get("recover", {})
     lams = tuple(float(x) for x in sec.get("lambdas", (0.2, 0.1, 0.05)))
@@ -658,15 +612,12 @@ def _cmd_recover(cfg: dict, out: str) -> dict:
         "errors_all_zero": all_zero,
         "rungs": rungs,
     }
-    with open(os.path.join(out, "recovery.json"), "w", encoding="utf-8", newline="") as fh:
-        json.dump(recovery, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "recovery.json"), recovery)
     _write_csv(
         os.path.join(out, "recovery_errors.csv"),
         "lambda,error",
         (f"{_fmt(lam)},{_fmt(err)}" for lam, err in zip(report.lams, errors)),
     )
-    files = ["recovery.json", "recovery_errors.csv"]
 
     checks = []
     if "order_threshold" in sec:
@@ -692,32 +643,24 @@ def _cmd_recover(cfg: dict, out: str) -> dict:
                 bounds=[lo, hi],
             )
         )
-    if cfg.get("output", {}).get("gnuplot", False):
-        files.append(
-            _write_gnuplot(
-                out,
-                [
-                    "set logscale xy",
-                    "set xlabel 'lambda'",
-                    "plot 'recovery_errors.csv' using 1:2 with linespoints "
-                    "title 'recovery error'",
-                ],
-            )
-        )
-
-    summary = {
-        "command": "recover",
-        "schema_version": _SCHEMA_VERSION,
-        "lambdas": [float(x) for x in report.lams],
-        "errors": errors,
-        "fitted_order": _finite_or_none(report.fitted_order),
-        "errors_all_zero": all_zero,
-        "files": files,
-        "checks": checks,
-        "ok": all(c["passed"] for c in checks),
-    }
-    _write_summary(out, summary)
-    return summary
+    plot = [
+        "set logscale xy",
+        "set xlabel 'lambda'",
+        "plot 'recovery_errors.csv' using 1:2 with linespoints "
+        "title 'recovery error'",
+    ]
+    return _finish(
+        cfg,
+        out,
+        "recover",
+        ["recovery.json", "recovery_errors.csv"],
+        checks,
+        plot,
+        lambdas=[float(x) for x in report.lams],
+        errors=errors,
+        fitted_order=_finite_or_none(report.fitted_order),
+        errors_all_zero=all_zero,
+    )
 
 
 _COMMANDS = {

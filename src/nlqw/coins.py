@@ -4,12 +4,18 @@ A coin is a map (s1, s2) -> U(2) evaluated at the local intensities
 s_j = |u_j(x)|^2 and applied pointwise.  Every family factors as a constant
 linear part C0 times an intensity-dependent factor that reduces to the
 identity at zero intensity, which is what the scattering diagnostics use.
+
+Each family is one class holding what nlqw knows about it: its linear part,
+its matrix at given intensities (the oracle the unitarity gate checks the
+kernels against), its vectorized kernel and its JSON form.  _FAMILIES maps
+each JSON family name to its class; the module-level functions delegate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Union
+import sys
+from dataclasses import dataclass, fields, replace
+from typing import Callable
 
 import numpy as np
 
@@ -107,147 +113,6 @@ def _herm2_exp(h: np.ndarray) -> np.ndarray:
     return np.exp(1j * c) * out
 
 
-@dataclass(frozen=True, eq=False)
-class ConstantCoin:
-    """Intensity-independent coin given by a fixed unitary matrix."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", require_unitary(self.matrix, "coin matrix"))
-
-
-@dataclass(frozen=True)
-class GaltonCoin:
-    """Balanced beam splitter followed by intensity phases exp(i g s_j)."""
-
-    g: float
-
-
-@dataclass(frozen=True)
-class GrossNeveuCoin:
-    """Opposite phases exp(-+ i g (s1 - s2)) on the rows of a rotation."""
-
-    g: float
-    theta: float
-
-
-@dataclass(frozen=True)
-class ThirringCoin:
-    """Global phase exp(i g (s1 + s2)) times a rotation."""
-
-    g: float
-    theta: float
-
-
-@dataclass(frozen=True)
-class RotationPowerCoin:
-    """Rotation by theta0 + g (s1 + s2)^p; g may take either sign."""
-
-    theta0: float
-    g: float
-    p: int
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.p, (int, np.integer)) and self.p >= 1):
-            raise ValueError("p must be a positive integer")
-        object.__setattr__(self, "p", int(self.p))
-
-
-@dataclass(frozen=True, eq=False)
-class QuinticExponentialCoin:
-    """Intensity factor exp(i (s1^2 A1 + s2^2 A2)) with Hermitian A1, A2.
-
-    The quadratic dependence on the intensities makes the deviation from the
-    identity quintic in the amplitude once applied to the state.
-    """
-
-    a1: np.ndarray
-    a2: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a1", _herm2(self.a1, "a1"))
-        object.__setattr__(self, "a2", _herm2(self.a2, "a2"))
-
-
-@dataclass(frozen=True, eq=False)
-class ComposedCoin:
-    """Constant unitary c0 composed with a nonlinear factor family."""
-
-    c0: np.ndarray
-    inner: "CoinSpec"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c0", require_unitary(self.c0, "c0"))
-        if isinstance(self.inner, (ConstantCoin, ComposedCoin)):
-            raise ValueError("inner factor must be an intensity-dependent family")
-
-
-CoinSpec = Union[
-    ConstantCoin,
-    GaltonCoin,
-    GrossNeveuCoin,
-    ThirringCoin,
-    RotationPowerCoin,
-    QuinticExponentialCoin,
-    ComposedCoin,
-]
-
-GALTON_LINEAR = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
-
-
-def linear_part(spec: CoinSpec) -> np.ndarray:
-    """Constant factor of the coin; equals the full coin at zero intensity."""
-    if isinstance(spec, ConstantCoin):
-        return spec.matrix.copy()
-    if isinstance(spec, GaltonCoin):
-        return GALTON_LINEAR.copy()
-    if isinstance(spec, (GrossNeveuCoin, ThirringCoin)):
-        return rotation(spec.theta)
-    if isinstance(spec, RotationPowerCoin):
-        return rotation(spec.theta0)
-    if isinstance(spec, QuinticExponentialCoin):
-        return _I2.copy()
-    if isinstance(spec, ComposedCoin):
-        return spec.c0 @ linear_part(spec.inner)
-    raise TypeError(f"unknown coin spec {type(spec).__name__}")
-
-
-def _check_intensities(s1: float, s2: float) -> tuple[float, float]:
-    s1, s2 = float(s1), float(s2)
-    if not (np.isfinite(s1) and np.isfinite(s2)) or s1 < 0 or s2 < 0:
-        raise ValueError("intensities must be finite and nonnegative")
-    return s1, s2
-
-
-def evaluate_coin(spec: CoinSpec, s1: float, s2: float) -> np.ndarray:
-    """Coin matrix at intensities (s1, s2) = (|u1|^2, |u2|^2)."""
-    s1, s2 = _check_intensities(s1, s2)
-    if isinstance(spec, ConstantCoin):
-        return spec.matrix.copy()
-    if isinstance(spec, GaltonCoin):
-        ph = np.array(
-            [[np.exp(1j * spec.g * s1), 0.0], [0.0, np.exp(1j * spec.g * s2)]],
-            dtype=np.complex128,
-        )
-        return GALTON_LINEAR @ ph
-    if isinstance(spec, GrossNeveuCoin):
-        d = spec.g * (s1 - s2)
-        ph = np.array(
-            [[np.exp(-1j * d), 0.0], [0.0, np.exp(1j * d)]], dtype=np.complex128
-        )
-        return ph @ rotation(spec.theta)
-    if isinstance(spec, ThirringCoin):
-        return np.exp(1j * spec.g * (s1 + s2)) * rotation(spec.theta)
-    if isinstance(spec, RotationPowerCoin):
-        return rotation(spec.theta0 + spec.g * (s1 + s2) ** spec.p)
-    if isinstance(spec, QuinticExponentialCoin):
-        return _herm2_exp(s1 * s1 * spec.a1 + s2 * s2 * spec.a2)
-    if isinstance(spec, ComposedCoin):
-        return spec.c0 @ evaluate_coin(spec.inner, s1, s2)
-    raise TypeError(f"unknown coin spec {type(spec).__name__}")
-
-
 def matrix_kernel(m: np.ndarray) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Pointwise product (u1, u2) -> m (u1, u2) with a constant 2x2 m: the
     constant coin's kernel, and every linear coin stage of the engine."""
@@ -267,18 +132,167 @@ def _intensity_power(s: np.ndarray, p: int) -> np.ndarray:
     return s**p
 
 
-def coin_kernel(spec: CoinSpec) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Vectorized pointwise application (u1, u2) -> coin(s1, s2) (u1, u2).
+def _number(v: object, what: str) -> float:
+    """v as a float: a JSON number within the float range, and not a bool."""
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    if not (number and abs(v) <= sys.float_info.max):
+        raise ValueError(f"{what} must be a finite number")
+    return float(v)
 
-    The returned callable is the hot path shared by single steps, trajectory
-    evolution and the scattering series, so every family is written with a
-    handful of array operations and no per-site Python.
-    """
-    if isinstance(spec, ConstantCoin):
-        return matrix_kernel(spec.matrix)
 
-    if isinstance(spec, GaltonCoin):
-        g = spec.g
+def _complex_to_pair(z: complex) -> list[float]:
+    return [float(np.real(z)), float(np.imag(z))]
+
+
+def _pair_to_complex(v: object, what: str) -> complex:
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise ValueError(f"{what} must be a [re, im] pair of finite numbers")
+    return complex(_number(v[0], what), _number(v[1], what))
+
+
+def _herm_to_json(m: np.ndarray) -> list[list[float]]:
+    return [_complex_to_pair(m[i, j]) for i in range(2) for j in range(2)]
+
+
+def _herm_from_json(v: object, what: str) -> np.ndarray:
+    if not isinstance(v, (list, tuple)) or len(v) != 4:
+        raise ValueError(f"{what} must list four [re, im] entries row-major")
+    ent = [_pair_to_complex(e, f"{what} entry") for e in v]
+    m = np.array([[ent[0], ent[1]], [ent[2], ent[3]]], dtype=np.complex128)
+    return _herm2(m, what)
+
+
+def _require_keys(d: dict, keys: tuple[str, ...], what: str) -> None:
+    """d must have exactly the given keys."""
+    extra = set(d) - set(keys)
+    if extra:
+        raise ValueError(f"unknown keys in {what}: {sorted(extra)}")
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"{what} is missing key {key!r}")
+
+
+# JSON family name -> class, filled in as the family classes are defined.
+# config_schema.json's coin oneOf lists the same names by hand;
+# tests/test_coins.py checks that the two agree.
+_FAMILIES: dict[str, type[CoinSpec]] = {}
+
+
+class CoinSpec:
+    """Base of the coin families.  Each family implements _linear_part,
+    _evaluate(s1, s2) (its matrix at those intensities) and _kernel; one
+    with a JSON form sets _name, which registers it in _FAMILIES, and
+    implements _to_json and the classmethod _from_json.  The defaults below
+    are for the families that lack the structure in question."""
+
+    _name: str | None = None  # JSON family name
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "_name" in vars(cls):
+            _FAMILIES[cls._name] = cls
+
+    def _to_json(self) -> dict:
+        raise ValueError(f"coin spec {type(self).__name__} has no JSON form")
+
+    def _composed_json(self, c0: np.ndarray) -> dict:
+        """JSON form of ComposedCoin(c0, self)."""
+        raise ValueError("coin spec ComposedCoin has no JSON form")
+
+    def _derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        raise ValueError(
+            "squared-intensity derivatives exist only for the quintic exponential family"
+        )
+
+    def unit_strength(self) -> tuple[CoinSpec, float]:
+        """Reference spec with unit coupling plus the amplitude scale c such
+        that evolving c*u0 under the reference matches c * (evolution under
+        this spec)."""
+        raise ValueError(
+            f"coupling of {type(self).__name__} does not enter as an intensity scale"
+        )
+
+
+class _Coupled(CoinSpec):
+    """A family whose coupling g multiplies a power of the intensities, so
+    that rescaling the amplitudes by c = |g|^(1 / (2 power)) brings g to
+    unit size.  Its JSON form is its dataclass fields."""
+
+    def _scale(self) -> float:
+        """c for the first power."""
+        return float(np.sqrt(abs(self.g)))
+
+    def unit_strength(self) -> tuple[CoinSpec, float]:
+        if self.g == 0:
+            return self, 1.0
+        return replace(self, g=float(np.sign(self.g))), self._scale()
+
+    def _to_json(self) -> dict:
+        return {"family": self._name, **{f.name: getattr(self, f.name) for f in fields(self)}}
+
+    @classmethod
+    def _from_json(cls, d: dict) -> CoinSpec:
+        _require_keys(d, ("family", *(f.name for f in fields(cls))), f"{cls._name} coin")
+        # the class checks its integer fields (the annotations are strings here)
+        return cls(
+            *(d[f.name] if f.type == "int" else _number(d[f.name], f.name) for f in fields(cls))
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class ConstantCoin(CoinSpec):
+    """Intensity-independent coin given by a fixed unitary matrix."""
+
+    _name = "constant"
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "matrix", require_unitary(self.matrix, "coin matrix"))
+
+    def _linear_part(self) -> np.ndarray:
+        return self.matrix.copy()
+
+    def _evaluate(self, s1: float, s2: float) -> np.ndarray:
+        return self.matrix.copy()
+
+    def _kernel(self):
+        return matrix_kernel(self.matrix)
+
+    def unit_strength(self) -> tuple[CoinSpec, float]:
+        return self, 1.0
+
+    def _to_json(self) -> dict:
+        return {
+            "family": self._name,
+            "a": _complex_to_pair(self.matrix[0, 0]),
+            "b": _complex_to_pair(self.matrix[0, 1]),
+        }
+
+    @classmethod
+    def _from_json(cls, d: dict) -> ConstantCoin:
+        _require_keys(d, ("family", "a", "b"), "constant coin")
+        return cls(c0_from_ab(_pair_to_complex(d["a"], "a"), _pair_to_complex(d["b"], "b")))
+
+
+@dataclass(frozen=True)
+class GaltonCoin(_Coupled):
+    """Balanced beam splitter followed by intensity phases exp(i g s_j)."""
+
+    _name = "galton"
+    g: float
+
+    def _linear_part(self) -> np.ndarray:
+        return GALTON_LINEAR.copy()
+
+    def _evaluate(self, s1: float, s2: float) -> np.ndarray:
+        ph = np.array(
+            [[np.exp(1j * self.g * s1), 0.0], [0.0, np.exp(1j * self.g * s2)]],
+            dtype=np.complex128,
+        )
+        return GALTON_LINEAR @ ph
+
+    def _kernel(self):
+        g = self.g
         inv_sqrt2 = 1.0 / np.sqrt(2.0)
 
         def kern_galton(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -288,9 +302,28 @@ def coin_kernel(spec: CoinSpec) -> Callable[[np.ndarray, np.ndarray], tuple[np.n
 
         return kern_galton
 
-    if isinstance(spec, GrossNeveuCoin):
-        g = spec.g
-        c, s = np.cos(spec.theta), np.sin(spec.theta)
+
+@dataclass(frozen=True)
+class GrossNeveuCoin(_Coupled):
+    """Opposite phases exp(-+ i g (s1 - s2)) on the rows of a rotation."""
+
+    _name = "gross_neveu"
+    g: float
+    theta: float
+
+    def _linear_part(self) -> np.ndarray:
+        return rotation(self.theta)
+
+    def _evaluate(self, s1: float, s2: float) -> np.ndarray:
+        d = self.g * (s1 - s2)
+        ph = np.array(
+            [[np.exp(-1j * d), 0.0], [0.0, np.exp(1j * d)]], dtype=np.complex128
+        )
+        return ph @ rotation(self.theta)
+
+    def _kernel(self):
+        g = self.g
+        c, s = np.cos(self.theta), np.sin(self.theta)
 
         def kern_gn(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             d = g * ((u1.real**2 + u1.imag**2) - (u2.real**2 + u2.imag**2))
@@ -299,9 +332,24 @@ def coin_kernel(spec: CoinSpec) -> Callable[[np.ndarray, np.ndarray], tuple[np.n
 
         return kern_gn
 
-    if isinstance(spec, ThirringCoin):
-        g = spec.g
-        c, s = np.cos(spec.theta), np.sin(spec.theta)
+
+@dataclass(frozen=True)
+class ThirringCoin(_Coupled):
+    """Global phase exp(i g (s1 + s2)) times a rotation."""
+
+    _name = "thirring"
+    g: float
+    theta: float
+
+    def _linear_part(self) -> np.ndarray:
+        return rotation(self.theta)
+
+    def _evaluate(self, s1: float, s2: float) -> np.ndarray:
+        return np.exp(1j * self.g * (s1 + s2)) * rotation(self.theta)
+
+    def _kernel(self):
+        g = self.g
+        c, s = np.cos(self.theta), np.sin(self.theta)
 
         def kern_thirring(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             ph = np.exp(
@@ -311,8 +359,30 @@ def coin_kernel(spec: CoinSpec) -> Callable[[np.ndarray, np.ndarray], tuple[np.n
 
         return kern_thirring
 
-    if isinstance(spec, RotationPowerCoin):
-        theta0, g, p = spec.theta0, spec.g, spec.p
+
+@dataclass(frozen=True)
+class RotationPowerCoin(_Coupled):
+    """Rotation by theta0 + g (s1 + s2)^p; g may take either sign."""
+
+    _name = "rotation_power"
+    theta0: float
+    g: float
+    p: int
+
+    def __post_init__(self) -> None:
+        p = self.p
+        if isinstance(p, bool) or not (isinstance(p, (int, np.integer)) and p >= 1):
+            raise ValueError("p must be a positive integer")
+        object.__setattr__(self, "p", int(self.p))
+
+    def _linear_part(self) -> np.ndarray:
+        return rotation(self.theta0)
+
+    def _evaluate(self, s1: float, s2: float) -> np.ndarray:
+        return rotation(self.theta0 + self.g * (s1 + s2) ** self.p)
+
+    def _kernel(self):
+        theta0, g, p = self.theta0, self.g, self.p
 
         def kern_rotpow(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             s = u1.real**2 + u1.imag**2 + u2.real**2 + u2.imag**2
@@ -322,13 +392,40 @@ def coin_kernel(spec: CoinSpec) -> Callable[[np.ndarray, np.ndarray], tuple[np.n
 
         return kern_rotpow
 
-    if isinstance(spec, QuinticExponentialCoin):
-        a1_00 = spec.a1[0, 0].real
-        a1_01 = spec.a1[0, 1]
-        a1_11 = spec.a1[1, 1].real
-        a2_00 = spec.a2[0, 0].real
-        a2_01 = spec.a2[0, 1]
-        a2_11 = spec.a2[1, 1].real
+    def _scale(self) -> float:
+        return float(abs(self.g) ** (1.0 / (2.0 * self.p)))
+
+
+@dataclass(frozen=True, eq=False)
+class QuinticExponentialCoin(CoinSpec):
+    """Intensity factor exp(i (s1^2 A1 + s2^2 A2)) with Hermitian A1, A2.
+
+    The quadratic dependence on the intensities makes the deviation from the
+    identity quintic in the amplitude once applied to the state.  Its JSON
+    form is that of ComposedCoin(c0, self).
+    """
+
+    _name = "quintic_exponential"
+    a1: np.ndarray
+    a2: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "a1", _herm2(self.a1, "a1"))
+        object.__setattr__(self, "a2", _herm2(self.a2, "a2"))
+
+    def _linear_part(self) -> np.ndarray:
+        return _I2.copy()
+
+    def _evaluate(self, s1: float, s2: float) -> np.ndarray:
+        return _herm2_exp(s1 * s1 * self.a1 + s2 * s2 * self.a2)
+
+    def _kernel(self):
+        a1_00 = self.a1[0, 0].real
+        a1_01 = self.a1[0, 1]
+        a1_11 = self.a1[1, 1].real
+        a2_00 = self.a2[0, 0].real
+        a2_01 = self.a2[0, 1]
+        a2_11 = self.a2[1, 1].real
 
         def kern_quintic(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             r1 = (u1.real**2 + u1.imag**2) ** 2
@@ -354,16 +451,99 @@ def coin_kernel(spec: CoinSpec) -> Callable[[np.ndarray, np.ndarray], tuple[np.n
 
         return kern_quintic
 
-    if isinstance(spec, ComposedCoin):
-        inner = coin_kernel(spec.inner)
-        outer = matrix_kernel(spec.c0)
+    def _derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        return 1j * self.a1.copy(), 1j * self.a2.copy()
+
+    def _composed_json(self, c0: np.ndarray) -> dict:
+        return {
+            "family": self._name,
+            "a1": _herm_to_json(self.a1),
+            "a2": _herm_to_json(self.a2),
+            "c0": {"a": _complex_to_pair(c0[0, 0]), "b": _complex_to_pair(c0[0, 1])},
+        }
+
+    @classmethod
+    def _from_json(cls, d: dict) -> ComposedCoin:
+        _require_keys(d, ("family", "a1", "a2", "c0"), "quintic_exponential coin")
+        c0d = d["c0"]
+        if not isinstance(c0d, dict):
+            raise ValueError("c0 must be an object with keys a, b")
+        _require_keys(c0d, ("a", "b"), "c0")
+        c0 = c0_from_ab(_pair_to_complex(c0d["a"], "c0.a"), _pair_to_complex(c0d["b"], "c0.b"))
+        inner = cls(_herm_from_json(d["a1"], "a1"), _herm_from_json(d["a2"], "a2"))
+        return ComposedCoin(c0, inner)
+
+
+@dataclass(frozen=True, eq=False)
+class ComposedCoin(CoinSpec):
+    """Constant unitary c0 composed with a nonlinear factor family."""
+
+    c0: np.ndarray
+    inner: "CoinSpec"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "c0", require_unitary(self.c0, "c0"))
+        if isinstance(self.inner, (ConstantCoin, ComposedCoin)):
+            raise ValueError("inner factor must be an intensity-dependent family")
+
+    def _linear_part(self) -> np.ndarray:
+        return self.c0 @ linear_part(self.inner)
+
+    def _evaluate(self, s1: float, s2: float) -> np.ndarray:
+        return self.c0 @ evaluate_coin(self.inner, s1, s2)
+
+    def _kernel(self):
+        inner = coin_kernel(self.inner)
+        outer = matrix_kernel(self.c0)
 
         def kern_composed(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return outer(*inner(u1, u2))
 
         return kern_composed
 
-    raise TypeError(f"unknown coin spec {type(spec).__name__}")
+    def _derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        return nonlinear_partial_derivatives(self.inner)
+
+    def _to_json(self) -> dict:
+        return _family(self.inner, ValueError)._composed_json(self.c0)
+
+
+GALTON_LINEAR = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
+
+
+def _family(spec: CoinSpec, error: type[Exception] = TypeError) -> CoinSpec:
+    """spec itself, once it is known to be a coin spec."""
+    if not isinstance(spec, CoinSpec):
+        raise error(f"unknown coin spec {type(spec).__name__}")
+    return spec
+
+
+def linear_part(spec: CoinSpec) -> np.ndarray:
+    """Constant factor of the coin; equals the full coin at zero intensity."""
+    return _family(spec)._linear_part()
+
+
+def _check_intensities(s1: float, s2: float) -> tuple[float, float]:
+    s1, s2 = float(s1), float(s2)
+    if not (np.isfinite(s1) and np.isfinite(s2)) or s1 < 0 or s2 < 0:
+        raise ValueError("intensities must be finite and nonnegative")
+    return s1, s2
+
+
+def evaluate_coin(spec: CoinSpec, s1: float, s2: float) -> np.ndarray:
+    """Coin matrix at intensities (s1, s2) = (|u1|^2, |u2|^2)."""
+    s1, s2 = _check_intensities(s1, s2)
+    return _family(spec)._evaluate(s1, s2)
+
+
+def coin_kernel(spec: CoinSpec) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Vectorized pointwise application (u1, u2) -> coin(s1, s2) (u1, u2).
+
+    The returned callable is the hot path shared by single steps, trajectory
+    evolution and the scattering series, so every family is written with a
+    handful of array operations and no per-site Python.
+    """
+    return _family(spec)._kernel()
 
 
 def apply_coin(spec: CoinSpec, u: LatticeState) -> LatticeState:
@@ -373,13 +553,17 @@ def apply_coin(spec: CoinSpec, u: LatticeState) -> LatticeState:
     return LatticeState(u.origin, np.column_stack([v1, v2]))
 
 
+def _op_norm(m: np.ndarray) -> float:
+    """Operator (spectral) norm of a matrix."""
+    return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
 def nonlinear_deviation(spec: CoinSpec, s1: float, s2: float) -> float:
     """Operator norm of C0^{-1} C(s1, s2) - I, the intensity-driven part."""
     if isinstance(spec, ConstantCoin):
         raise ValueError("constant coin has no intensity-dependent factor")
     c0 = linear_part(spec)
-    m = c0.conj().T @ evaluate_coin(spec, s1, s2) - _I2
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    return _op_norm(c0.conj().T @ evaluate_coin(spec, s1, s2) - _I2)
 
 
 def nonlinear_partial_derivatives(spec: CoinSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -389,77 +573,12 @@ def nonlinear_partial_derivatives(spec: CoinSpec) -> tuple[np.ndarray, np.ndarra
     in the squared intensities r_j, so the derivatives at the origin are
     exactly (i A1, i A2).  Other families do not expose this structure.
     """
-    if isinstance(spec, ComposedCoin):
-        return nonlinear_partial_derivatives(spec.inner)
-    if isinstance(spec, QuinticExponentialCoin):
-        return 1j * spec.a1.copy(), 1j * spec.a2.copy()
-    raise ValueError("squared-intensity derivatives exist only for the quintic exponential family")
-
-
-def _complex_to_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _pair_to_complex(v: object, what: str) -> complex:
-    if (
-        not isinstance(v, (list, tuple))
-        or len(v) != 2
-        or not all(isinstance(t, (int, float)) and np.isfinite(t) for t in v)
-    ):
-        raise ValueError(f"{what} must be a [re, im] pair of finite numbers")
-    return complex(float(v[0]), float(v[1]))
-
-
-def _herm_to_json(m: np.ndarray) -> list[list[float]]:
-    return [_complex_to_pair(m[i, j]) for i in range(2) for j in range(2)]
-
-
-def _herm_from_json(v: object, what: str) -> np.ndarray:
-    if not isinstance(v, (list, tuple)) or len(v) != 4:
-        raise ValueError(f"{what} must list four [re, im] entries row-major")
-    ent = [_pair_to_complex(e, f"{what} entry") for e in v]
-    m = np.array([[ent[0], ent[1]], [ent[2], ent[3]]], dtype=np.complex128)
-    return _herm2(m, what)
+    return _family(spec, ValueError)._derivatives()
 
 
 def coin_to_json(spec: CoinSpec) -> dict:
     """JSON-serializable description; inverse of coin_from_json."""
-    if isinstance(spec, ConstantCoin):
-        return {
-            "family": "constant",
-            "a": _complex_to_pair(spec.matrix[0, 0]),
-            "b": _complex_to_pair(spec.matrix[0, 1]),
-        }
-    if isinstance(spec, GaltonCoin):
-        return {"family": "galton", "g": spec.g}
-    if isinstance(spec, GrossNeveuCoin):
-        return {"family": "gross_neveu", "g": spec.g, "theta": spec.theta}
-    if isinstance(spec, ThirringCoin):
-        return {"family": "thirring", "g": spec.g, "theta": spec.theta}
-    if isinstance(spec, RotationPowerCoin):
-        return {
-            "family": "rotation_power",
-            "theta0": spec.theta0,
-            "g": spec.g,
-            "p": spec.p,
-        }
-    if isinstance(spec, ComposedCoin) and isinstance(spec.inner, QuinticExponentialCoin):
-        return {
-            "family": "quintic_exponential",
-            "a1": _herm_to_json(spec.inner.a1),
-            "a2": _herm_to_json(spec.inner.a2),
-            "c0": {
-                "a": _complex_to_pair(spec.c0[0, 0]),
-                "b": _complex_to_pair(spec.c0[0, 1]),
-            },
-        }
-    raise ValueError(f"coin spec {type(spec).__name__} has no JSON form")
-
-
-def _require_keys(d: dict, keys: set[str], what: str) -> None:
-    extra = set(d) - keys
-    if extra:
-        raise ValueError(f"unknown keys in {what}: {sorted(extra)}")
+    return _family(spec, ValueError)._to_json()
 
 
 def coin_from_json(d: dict) -> CoinSpec:
@@ -467,35 +586,7 @@ def coin_from_json(d: dict) -> CoinSpec:
     if not isinstance(d, dict) or "family" not in d:
         raise ValueError("coin description must be an object with a 'family' key")
     fam = d["family"]
-    if fam == "constant":
-        _require_keys(d, {"family", "a", "b"}, "constant coin")
-        a = _pair_to_complex(d["a"], "a")
-        b = _pair_to_complex(d["b"], "b")
-        return ConstantCoin(c0_from_ab(a, b))
-    if fam == "galton":
-        _require_keys(d, {"family", "g"}, "galton coin")
-        return GaltonCoin(float(d["g"]))
-    if fam == "gross_neveu":
-        _require_keys(d, {"family", "g", "theta"}, "gross_neveu coin")
-        return GrossNeveuCoin(float(d["g"]), float(d["theta"]))
-    if fam == "thirring":
-        _require_keys(d, {"family", "g", "theta"}, "thirring coin")
-        return ThirringCoin(float(d["g"]), float(d["theta"]))
-    if fam == "rotation_power":
-        _require_keys(d, {"family", "theta0", "g", "p"}, "rotation_power coin")
-        p = d["p"]
-        if not isinstance(p, int):
-            raise ValueError("p must be an integer")
-        return RotationPowerCoin(float(d["theta0"]), float(d["g"]), p)
-    if fam == "quintic_exponential":
-        _require_keys(d, {"family", "a1", "a2", "c0"}, "quintic_exponential coin")
-        c0d = d["c0"]
-        if not isinstance(c0d, dict):
-            raise ValueError("c0 must be an object with keys a, b")
-        _require_keys(c0d, {"a", "b"}, "c0")
-        c0 = c0_from_ab(_pair_to_complex(c0d["a"], "c0.a"), _pair_to_complex(c0d["b"], "c0.b"))
-        inner = QuinticExponentialCoin(
-            _herm_from_json(d["a1"], "a1"), _herm_from_json(d["a2"], "a2")
-        )
-        return ComposedCoin(c0, inner)
-    raise ValueError(f"unknown coin family {fam!r}")
+    cls = _FAMILIES.get(fam) if isinstance(fam, str) else None
+    if cls is None:
+        raise ValueError(f"unknown coin family {fam!r}")
+    return cls._from_json(d)

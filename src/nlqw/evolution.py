@@ -26,12 +26,9 @@ import numpy as np
 from .coins import (
     CoinSpec,
     ConstantCoin,
-    GaltonCoin,
-    GrossNeveuCoin,
     RotationPowerCoin,
-    ThirringCoin,
+    apply_coin,
     coin_kernel,
-    matrix_kernel,
     require_unitary,
 )
 from .state import LatticeState, l2_distance, lp_of_norms, scaled, weak_lp_of_norms
@@ -125,10 +122,7 @@ def linear_step(u: LatticeState, c0: np.ndarray) -> LatticeState:
 def linear_step_inverse(u: LatticeState, c0: np.ndarray) -> LatticeState:
     """One step of U0^{-1} = C0^{-1} S^{-1}."""
     c0 = require_unitary(c0, "c0")
-    v = inverse_shift(u)
-    a = v.amplitudes
-    w1, w2 = matrix_kernel(c0.conj().T)(a[:, 0], a[:, 1])
-    return LatticeState(v.origin, np.column_stack([w1, w2]))
+    return apply_coin(ConstantCoin(c0.conj().T), inverse_shift(u))
 
 
 @dataclass(frozen=True)
@@ -392,46 +386,11 @@ def period4_amplitude(g: float, p: int) -> float:
     return (np.pi / (4.0 * g)) ** (1.0 / (2.0 * p))
 
 
-def _unit_strength_form(spec: CoinSpec) -> tuple[CoinSpec, float]:
-    """Reference spec with unit coupling plus the amplitude scale c such
-    that evolving c*u0 under the reference matches c * (evolution under spec)."""
-    if isinstance(spec, ConstantCoin):
-        return spec, 1.0
-    if isinstance(spec, GaltonCoin):
-        if spec.g == 0:
-            return spec, 1.0
-        return GaltonCoin(float(np.sign(spec.g))), float(np.sqrt(abs(spec.g)))
-    if isinstance(spec, GrossNeveuCoin):
-        if spec.g == 0:
-            return spec, 1.0
-        return (
-            GrossNeveuCoin(float(np.sign(spec.g)), spec.theta),
-            float(np.sqrt(abs(spec.g))),
-        )
-    if isinstance(spec, ThirringCoin):
-        if spec.g == 0:
-            return spec, 1.0
-        return (
-            ThirringCoin(float(np.sign(spec.g)), spec.theta),
-            float(np.sqrt(abs(spec.g))),
-        )
-    if isinstance(spec, RotationPowerCoin):
-        if spec.g == 0:
-            return spec, 1.0
-        return (
-            RotationPowerCoin(spec.theta0, float(np.sign(spec.g)), spec.p),
-            float(abs(spec.g) ** (1.0 / (2.0 * spec.p))),
-        )
-    raise ValueError(
-        f"coupling of {type(spec).__name__} does not enter as an intensity scale"
-    )
-
-
 def g_scaling_check(u0: LatticeState, spec: CoinSpec, steps: int) -> float:
     """Max l2 deviation over t <= steps between the walk under spec and the
     rescaled walk at unit coupling.  Exact (up to rounding) for families
     whose coupling multiplies an intensity power."""
-    ref, c = _unit_strength_form(spec)
+    ref, c = spec.unit_strength()
     u = u0
     v = scaled(u0, c)
     worst = l2_distance(u, scaled(v, 1.0 / c))

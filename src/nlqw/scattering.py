@@ -25,6 +25,7 @@ import numpy as np
 from .coins import (
     CoinSpec,
     ConstantCoin,
+    _op_norm,
     coin_kernel,
     linear_part,
     matrix_kernel,
@@ -514,10 +515,6 @@ def _assemble(
         dtype=np.complex128,
     )
     return m1, m2
-
-
-def _op_norm(m: np.ndarray) -> float:
-    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def _rung_probes(

@@ -129,6 +129,23 @@ class TestConfigValidation:
         assert "non-finite number at coin/g" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "where, sets",
+        [
+            ("coin/g", ["--set", "coin.g=1" + "0" * 400]),
+            ("initial/scale", ["--set", "initial.scale=-1" + "0" * 400]),
+            ("table1/cells/0/g", ["--set", 'table1.cells=[{"p": 1, "g": 1%s}]' % ("0" * 400)]),
+        ],
+    )
+    def test_integers_beyond_the_float_range_are_rejected(
+        self, tmp_path, capsys, where, sets
+    ):
+        cfg = {"schema_version": 1, "coin": {"family": "galton", "g": 0.5}}
+        code, out, _ = run("table1" if "table1" in where else "simulate", tmp_path, cfg, *sets)
+        assert code == 2
+        assert capsys.readouterr().err == f"nlqw: config rejected: non-finite number at {where}\n"
+        assert not out.exists()
+
     def test_out_naming_a_file_is_a_clean_error(self, tmp_path, capsys):
         blocker = tmp_path / "taken"
         blocker.write_text("")
@@ -568,9 +585,13 @@ class TestRecover:
             "coin": {"family": "galton", "g": 0.5},
             "recover": {"lambdas": [0.2, 0.1], "t_max": 64},
         }
-        code, _, _ = run("recover", tmp_path, cfg)
+        code, out, _ = run("recover", tmp_path, cfg)
         assert code == 2
-        capsys.readouterr()
+        assert capsys.readouterr().err == (
+            "nlqw: squared-intensity derivatives exist only for the quintic "
+            "exponential family\n"
+        )
+        assert not any(out.iterdir())
 
 
 class TestAllocatorCalls:

@@ -27,6 +27,8 @@ from nlqw import (
     rotation,
     scaled,
 )
+from nlqw import coins
+from nlqw._schema import config_schema
 from nlqw.coins import coin_kernel
 
 I2 = np.eye(2, dtype=np.complex128)
@@ -333,6 +335,64 @@ class TestJsonRoundTrip:
             diff = evaluate_coin(back, s1, s2) - evaluate_coin(spec, s1, s2)
             assert np.max(np.abs(diff)) == 0.0
 
+    def test_specs_cover_every_registered_family(self):
+        for spec in self.SPECS:
+            family = coins._FAMILIES[coin_to_json(spec)["family"]]
+            assert type(getattr(spec, "inner", spec)) is family
+        assert {coin_to_json(s)["family"] for s in self.SPECS} == set(coins._FAMILIES)
+
+    def test_schema_agrees_with_the_registry(self):
+        branches = config_schema().root["$defs"]["coin"]["oneOf"]
+        names = [b["properties"]["family"]["const"] for b in branches]
+        assert sorted(names) == sorted(coins._FAMILIES)
+        examples = {coin_to_json(s)["family"]: coin_to_json(s) for s in self.SPECS}
+        for name, branch in zip(names, branches):
+            assert branch["required"] == list(examples[name]), name
+
+    @pytest.mark.parametrize(
+        "d, key",
+        [
+            ({"family": "galton"}, "g"),
+            ({"family": "constant", "a": [0.6, 0.0]}, "b"),
+            ({"family": "rotation_power", "theta0": 0.1, "g": 0.5}, "p"),
+            ({"family": "thirring", "g": [1], "theta": 0}, "g"),
+            ({"family": "galton", "g": float("nan")}, "g"),
+            ({"family": "gross_neveu", "g": 0.5, "theta": float("-inf")}, "theta"),
+            ({"family": "galton", "g": 10**400}, "g"),
+            ({"family": "galton", "g": "0.5"}, "g"),
+            ({"family": "galton", "g": True}, "g"),
+            ({"family": "rotation_power", "theta0": 0.1, "g": 0.5, "p": True}, "p"),
+            ({"family": "rotation_power", "theta0": 0.1, "g": 0.5, "p": 2.0}, "p"),
+            ({"family": "constant", "a": [0.6, False], "b": [0.8, 0.0]}, "a"),
+            ({"family": "constant", "a": [0.6, 0.0], "b": [0.8, float("nan")]}, "b"),
+            (
+                {"family": "quintic_exponential", "a1": [[0.0, 0.0]] * 4, "c0": {}},
+                "a2",
+            ),
+            (
+                {
+                    "family": "quintic_exponential",
+                    "a1": [[0.0, 0.0]] * 4,
+                    "a2": [[0.0, 0.0]] * 4,
+                    "c0": {"a": [R, 0.0]},
+                },
+                "b",
+            ),
+        ],
+    )
+    def test_rejects_missing_and_bad_scalars_naming_the_key(self, d, key):
+        with pytest.raises(ValueError, match=rf"\b{key}\b"):
+            coin_from_json(d)
+
+    def test_valid_scalars_build_the_same_specs(self):
+        spec = coin_from_json({"family": "galton", "g": -1})
+        assert spec == GaltonCoin(-1.0) and type(spec.g) is float
+        spec = coin_from_json({"family": "rotation_power", "theta0": 0, "g": 2, "p": 3})
+        assert spec == RotationPowerCoin(0.0, 2.0, 3)
+        assert [type(v) for v in (spec.theta0, spec.g, spec.p)] == [float, float, int]
+        spec = coin_from_json({"family": "constant", "a": [0, 0.6], "b": [0.8, 0]})
+        assert spec.matrix.tobytes() == c0_from_ab(0.6j, 0.8).tobytes()
+
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
             coin_from_json({"family": "galton", "g": 0.5, "extra": 1})
@@ -346,6 +406,38 @@ class TestJsonRoundTrip:
         d["a1"] = [[0.0, 0.0], [1.0, 0.0], [0.5, 0.0], [0.0, 0.0]]
         with pytest.raises(ValueError):
             coin_from_json(d)
+
+
+class TestUnitStrength:
+    @pytest.mark.parametrize(
+        "spec, ref, scale",
+        [
+            (GaltonCoin(-0.3), GaltonCoin(-1.0), np.sqrt(0.3)),
+            (GrossNeveuCoin(2.5, 0.3), GrossNeveuCoin(1.0, 0.3), np.sqrt(2.5)),
+            (ThirringCoin(0.9, 1.1), ThirringCoin(1.0, 1.1), np.sqrt(0.9)),
+            (RotationPowerCoin(0.2, -0.8, 1), RotationPowerCoin(0.2, -1.0, 1), 0.8**0.5),
+            (RotationPowerCoin(0.2, 0.7, 3), RotationPowerCoin(0.2, 1.0, 3), 0.7 ** (1 / 6)),
+        ],
+    )
+    def test_unit_coupling_and_amplitude_scale(self, spec, ref, scale):
+        got, c = spec.unit_strength()
+        assert got == ref
+        assert c == float(scale)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [GaltonCoin(0.0), ThirringCoin(0.0, 0.4), ConstantCoin(rotation(0.3))],
+        ids=lambda s: type(s).__name__,
+    )
+    def test_zero_coupling_and_constant_coin_are_their_own_reference(self, spec):
+        got, c = spec.unit_strength()
+        assert got is spec and c == 1.0
+
+    def test_quintic_coupling_is_not_an_intensity_scale(self):
+        with pytest.raises(ValueError, match="QuinticExponentialCoin"):
+            QuinticExponentialCoin(SIGMA_X, SIGMA_Z).unit_strength()
+        with pytest.raises(ValueError, match="ComposedCoin"):
+            quintic(SIGMA_X, SIGMA_Z).unit_strength()
 
 
 class TestConstruction:
