@@ -6,17 +6,23 @@ neither an integer nor a number, an integral float is an integer, const and
 enum tell true from 1, each keyword checks only instances of the type it
 constrains (so a wrong type hides the others, except that a non-integral
 number is still held to the numeric bounds), and oneOf counts exact
-matches.  A schema that uses any other keyword is refused when loaded.
+matches.  A schema that uses any other keyword is refused when loaded,
+and so is a default that fails its own subschema.
+
+resolve() turns a config that has passed validation into the config a run
+uses: absent properties get their schema defaults, and every number gets
+the Python type its schema names (see Schema.resolve).
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import os
 import re
 
-_ANNOTATIONS = frozenset({"$schema", "$id", "title", "description", "$defs"})
+_ANNOTATIONS = frozenset({"$schema", "$id", "title", "description", "$defs", "default"})
 _APPLICATORS = frozenset(
     {"properties", "additionalProperties", "required", "items", "oneOf", "$ref"}
 )
@@ -85,6 +91,8 @@ class Schema:
                 arg.startswith("#/$defs/") and arg[8:] in self.defs
             ):
                 raise ValueError(f"config schema $ref {arg!r} is not a local $defs entry")
+            if key == "default" and any(self._walk(node, arg, ())):
+                raise ValueError(f"config schema default {arg!r} fails its own subschema")
             subs = (
                 arg.values() if key in ("properties", "$defs")
                 else arg if key == "oneOf"
@@ -98,6 +106,39 @@ class Schema:
         """(path, message) of every violation, sorted by path; a path is a
         tuple of keys and indices, () for the root."""
         return sorted(self._walk(self.root, instance, ()), key=lambda e: e[0])
+
+    def resolve(self, instance):
+        """The valid instance as a run uses it, as new objects and arrays:
+        each absent property whose subschema has a default gets a copy of
+        that default, resolved in turn; $ref and the one matching oneOf
+        branch are followed; an "integer" becomes an int, a "number" a
+        float and a const the schema's own value."""
+        return self._resolve(self.root, instance)
+
+    def _resolve(self, node: dict, x):
+        if "$ref" in node:
+            x = self._resolve(self.defs[node["$ref"][8:]], x)
+        if "oneOf" in node:
+            (sub,) = (s for s in node["oneOf"] if not any(self._walk(s, x, ())))
+            x = self._resolve(sub, x)
+        if "const" in node:
+            return node["const"]
+        kind = node.get("type")
+        if kind == "integer":
+            return int(x)
+        if kind == "number":
+            return float(x)
+        if kind == "array" and "items" in node:
+            return [self._resolve(node["items"], item) for item in x]
+        if kind == "object":
+            out = dict(x)
+            for name, sub in node.get("properties", {}).items():
+                if name in x:
+                    out[name] = self._resolve(sub, x[name])
+                elif "default" in sub:
+                    out[name] = self._resolve(sub, copy.deepcopy(sub["default"]))
+            return out
+        return x
 
     def _walk(self, node: dict, x, path: tuple):
         for key, arg in node.items():

@@ -8,7 +8,9 @@ diagnostics, and derivative recovery ladders.
 Configs are validated against the JSON schema shipped with the package
 (by the package's own walker, nlqw._schema) before anything runs; unknown
 keys are rejected. Precedence is command-line --set overrides, then the
-config file, then built-in defaults. Every command is deterministic and
+config file, then the schema's default annotations, which the walker fills
+in after validation along with each number's Python type, so the commands
+read cfg[...] directly. Every command is deterministic and
 writes a machine-readable summary.json; the exit code is 0 exactly when all
 configured checks pass.
 """
@@ -53,19 +55,6 @@ from .state import (
 
 __all__ = ["main"]
 
-_SCHEMA_VERSION = 1
-
-_TABLE1_CELLS: tuple[tuple[int, float], ...] = (
-    (1, 0.8),
-    (1, -0.8),
-    (1, 1.0),
-    (1, -1.0),
-    (2, 0.8),
-    (2, -0.8),
-    (2, 1.0),
-    (2, -1.0),
-)
-
 
 class ConfigError(Exception):
     """Configuration rejected before any experiment ran."""
@@ -73,16 +62,6 @@ class ConfigError(Exception):
 
 # ---------------------------------------------------------------------------
 # config plumbing
-
-
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = value
-    return out
 
 
 def _apply_set(cfg: dict, assignment: str) -> None:
@@ -119,40 +98,42 @@ def _non_finite_paths(node, path: tuple = ()) -> list[tuple]:
 
 
 def _load_config(path: str | None, sets: list[str]) -> dict:
-    cfg: dict = {"schema_version": _SCHEMA_VERSION}
+    """The config file with the --set overrides applied, validated, and
+    resolved against the schema: defaults filled in, numbers typed."""
+    cfg: dict = {}
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
-                loaded = json.load(fh)
+                cfg = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
+        if not isinstance(cfg, dict):
             raise ConfigError("config root must be a JSON object")
-        cfg = _deep_merge(cfg, loaded)
     for assignment in sets:
         _apply_set(cfg, assignment)
     bad = ["/".join(str(k) for k in p) for p in _non_finite_paths(cfg)]
     if bad:
         raise ConfigError("config rejected: non-finite number at " + ", ".join(bad))
-    errors = config_schema().errors(cfg)
+    schema = config_schema()
+    errors = schema.errors(cfg)
     if errors:
         lines = []
         for path, message in errors:
             where = "/".join(str(p) for p in path) or "(root)"
             lines.append(f"  at {where}: {message}")
         raise ConfigError("config rejected by schema:\n" + "\n".join(lines))
-    return cfg
+    return schema.resolve(cfg)
 
 
 def _initial_state(cfg: dict) -> LatticeState:
-    init = cfg.get("initial", {"kind": "delta", "component": 1, "site": 0})
+    init = cfg["initial"]
     if init["kind"] == "csv":
         return load_state_csv(init["path"])
-    u = delta_state(int(init.get("component", 1)), int(init.get("site", 0)))
-    scale = init.get("scale")
-    if scale is not None:
+    u = delta_state(init["component"], init["site"])
+    if "scale" in init:
+        scale = init["scale"]
         c = complex(scale[0], scale[1]) if isinstance(scale, list) else complex(scale)
         u = scaled(u, c)
     return u
@@ -165,16 +146,15 @@ def _coin_of(cfg: dict) -> CoinSpec:
 
 
 def _recorder_of(cfg: dict) -> Recorder:
-    rec = cfg.get("record", {})
+    rec = cfg["record"]
     thr = rec.get("threshold")
     return Recorder(
-        sup_norm=bool(rec.get("sup_norm", True)),
-        lp=tuple(float(p) for p in rec.get("lp", ())),
-        weak_lp=tuple(float(p) for p in rec.get("weak_lp", ())),
-        argmax=bool(rec.get("argmax", False)),
-        threshold=float(thr["gamma"]) if thr else None,
-        threshold_component=int(thr["component"]) if thr else 1,
-        snapshot_times=tuple(int(t) for t in rec.get("snapshots", ())),
+        sup_norm=rec["sup_norm"],
+        lp=tuple(rec["lp"]),
+        weak_lp=tuple(rec["weak_lp"]),
+        argmax=rec["argmax"],
+        snapshot_times=tuple(rec["snapshots"]),
+        **({"threshold": thr["gamma"], "threshold_component": thr["component"]} if thr else {}),
     )
 
 
@@ -251,11 +231,11 @@ def _finish(
     """A command's common ending: plot.gp from the gnuplot lines `plot`
     when output.gnuplot is set and there is a plot, then summary.json with
     the command's own fields; returns the summary."""
-    if plot and cfg.get("output", {}).get("gnuplot", False):
+    if plot and cfg["output"]["gnuplot"]:
         files.append(_write_gnuplot(out, plot))
     summary = {
         "command": command,
-        "schema_version": _SCHEMA_VERSION,
+        "schema_version": cfg["schema_version"],
         **fields,
         "files": files,
         "checks": checks,
@@ -272,9 +252,8 @@ def _finish(
 def _cmd_simulate(cfg: dict, out: str) -> dict:
     spec = _coin_of(cfg)
     u0 = _initial_state(cfg)
-    steps = int(cfg.get("steps", 100))
+    steps = cfg["steps"]
     rec = _recorder_of(cfg)
-    record_cfg = cfg.get("record", {})
 
     traj = evolve(u0, spec, steps, rec)
     _release_free_heap()
@@ -291,7 +270,7 @@ def _cmd_simulate(cfg: dict, out: str) -> dict:
         name = f"snapshot_t{t}.csv"
         save_state_csv(traj.snapshots[t], os.path.join(out, name))
         files.append(name)
-    if record_cfg.get("final_state", True):
+    if cfg["record"]["final_state"]:
         save_state_csv(traj.final, os.path.join(out, "final_state.csv"))
         files.append("final_state.csv")
 
@@ -315,12 +294,10 @@ def _cmd_simulate(cfg: dict, out: str) -> dict:
 
 
 def _cmd_table1(cfg: dict, out: str) -> dict:
-    sec = cfg.get("table1", {})
-    steps = int(sec.get("steps", 10000))
-    tol = float(sec.get("tolerance", 5e-4))
-    cells = [(int(c["p"]), float(c["g"])) for c in sec.get("cells", [])] or list(
-        _TABLE1_CELLS
-    )
+    sec = cfg["table1"]
+    steps = sec["steps"]
+    tol = sec["tolerance"]
+    cells = [(c["p"], c["g"]) for c in sec["cells"]]
     for p, g in cells:
         if g == 0.0:
             raise ConfigError("table1 cells need g != 0")
@@ -393,9 +370,9 @@ def _cmd_decay(cfg: dict, out: str) -> dict:
     if "decay" not in cfg:
         raise ConfigError("this command needs a 'decay' section")
     sec = cfg["decay"]
-    t_min = int(sec.get("t_min", 1000))
-    t_max = int(sec.get("t_max", 10000))
-    steps = int(sec.get("steps", t_max))
+    t_min = sec["t_min"]
+    t_max = sec["t_max"]
+    steps = sec.get("steps", t_max)
     if steps < t_max:
         raise ConfigError("decay.steps must reach decay.t_max")
     u0 = _initial_state(cfg)
@@ -431,16 +408,16 @@ def _cmd_decay(cfg: dict, out: str) -> dict:
         _write_json(os.path.join(out, fit_name), fit.to_json())
         files.append(fit_name)
         fits[label] = {**fit.to_json(), "residual_rms": fit.residual_rms}
-        expect = run.get("expect", {})
+        expect = run["expect"]
         for key in ("slope", "intercept"):
             if key in expect:
-                value, tol = getattr(fit, key), float(expect.get(f"{key}_tol", 0.05))
+                value, tol = getattr(fit, key), expect[f"{key}_tol"]
                 checks.append(
                     _check(
                         f"{label}_{key}",
-                        abs(value - float(expect[key])) <= tol,
+                        abs(value - expect[key]) <= tol,
                         value=value,
-                        expected=float(expect[key]),
+                        expected=expect[key],
                         tolerance=tol,
                     )
                 )
@@ -471,11 +448,11 @@ def _cmd_weak_limit(cfg: dict, out: str) -> dict:
         raise ConfigError("weak-limit needs a constant coin")
     a = complex(spec.matrix[0, 0])
     b = complex(spec.matrix[0, 1])
-    sec = cfg.get("weak_limit", {})
-    time = int(sec.get("time", 5000))
-    grid_points = int(sec.get("grid_points", 2001))
-    ks_threshold = float(sec.get("ks_threshold", 0.02))
-    mass_tolerance = float(sec.get("mass_tolerance", 1e-5))
+    sec = cfg["weak_limit"]
+    time = sec["time"]
+    grid_points = sec["grid_points"]
+    ks_threshold = sec["ks_threshold"]
+    mass_tolerance = sec["mass_tolerance"]
 
     u0 = _initial_state(cfg)
     traj = evolve(u0, spec, time)
@@ -528,14 +505,12 @@ def _cmd_weak_limit(cfg: dict, out: str) -> dict:
 def _cmd_scatter(cfg: dict, out: str) -> dict:
     spec = _coin_of(cfg)
     c0 = linear_part(spec)
-    sec = cfg.get("scatter", {})
-    horizon = int(sec.get("horizon", 1024))
-    tol = float(sec.get("tolerance", 1e-5))
+    sec = cfg["scatter"]
+    horizon = sec["horizon"]
+    tol = sec["tolerance"]
     times_cfg = sec.get("defect_times")
     defect_times = (
-        np.asarray([int(t) for t in times_cfg], dtype=np.int64)
-        if times_cfg is not None
-        else None
+        np.asarray(times_cfg, dtype=np.int64) if times_cfg is not None else None
     )
     u0 = _initial_state(cfg)
 
@@ -576,10 +551,10 @@ def _cmd_scatter(cfg: dict, out: str) -> dict:
 def _cmd_recover(cfg: dict, out: str) -> dict:
     spec = _coin_of(cfg)
     c0 = linear_part(spec)
-    sec = cfg.get("recover", {})
-    lams = tuple(float(x) for x in sec.get("lambdas", (0.2, 0.1, 0.05)))
-    t_max = int(sec.get("t_max", 2048))
-    variant = str(sec.get("exponent_variant", "theorem"))
+    sec = cfg["recover"]
+    lams = tuple(sec["lambdas"])
+    t_max = sec["t_max"]
+    variant = sec["exponent_variant"]
 
     report = recovery_ladder(spec, c0, lams, t_max, variant)
     _release_free_heap()
@@ -603,7 +578,7 @@ def _cmd_recover(cfg: dict, out: str) -> dict:
     errors = [float(e) for e in report.errors]
     all_zero = all(e == 0.0 for e in errors)
     recovery = {
-        "schema_version": _SCHEMA_VERSION,
+        "schema_version": cfg["schema_version"],
         "lambdas": [float(x) for x in report.lams],
         "t_max": report.t_max,
         "exponent_variant": report.exponent_variant,
@@ -621,7 +596,7 @@ def _cmd_recover(cfg: dict, out: str) -> dict:
 
     checks = []
     if "order_threshold" in sec:
-        thr = float(sec["order_threshold"])
+        thr = sec["order_threshold"]
         checks.append(
             _check(
                 "fitted_order",
@@ -631,7 +606,7 @@ def _cmd_recover(cfg: dict, out: str) -> dict:
             )
         )
     if "ratio_bounds" in sec:
-        lo, hi = (float(x) for x in sec["ratio_bounds"])
+        lo, hi = sec["ratio_bounds"]
         if len(errors) < 2:
             raise ConfigError("ratio_bounds needs at least two ladder rungs")
         ratio = None if all_zero else errors[0] / errors[1]

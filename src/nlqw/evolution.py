@@ -406,16 +406,9 @@ def _left_edge_series(u0: LatticeState, spec: CoinSpec, steps: int) -> tuple[np.
     return traj.series["edge_comp1"], traj.series["edge_comp2"]
 
 
-def instability_trace(
-    a: float, eps: float, spec: RotationPowerCoin, steps: int
-) -> np.ndarray:
-    """Light-cone edge norms ||u(t, -t)|| for u(0) = a(1 - eps) delta_{1,0}.
-
-    Requires the stationary-edge branch: g < 0 with pi/4 + g a^(2p) = 0.
-    The second edge component vanishes identically, so the returned series
-    is |u1(t, -t)| and obeys the scalar recursion
-    x_{t+1} = |cos(pi/4 + g x_t^(2p))| x_t.
-    """
+def _require_stationary_branch(a: float, spec: RotationPowerCoin) -> None:
+    """Refuse edge parameters off the stationary branch: a rotation_power
+    coin with g < 0 and theta0 = pi/4, and pi/4 + g a^(2p) = 0."""
     if not isinstance(spec, RotationPowerCoin):
         raise ValueError("edge tracking is defined for the rotation_power family")
     if not (spec.g < 0):
@@ -424,6 +417,19 @@ def instability_trace(
         raise ValueError("amplitude a is not on the stationary edge branch")
     if abs(spec.theta0 - np.pi / 4.0) > 1e-12:
         raise ValueError("stationary edge branch needs theta0 = pi/4")
+
+
+def instability_trace(
+    a: float, eps: float, spec: RotationPowerCoin, steps: int
+) -> np.ndarray:
+    """Light-cone edge norms ||u(t, -t)|| for u(0) = a(1 - eps) delta_{1,0}.
+
+    Requires the stationary-edge branch: theta0 = pi/4 and g < 0 with
+    pi/4 + g a^(2p) = 0.  The second edge component vanishes identically,
+    so the returned series is |u1(t, -t)| and obeys the scalar recursion
+    x_{t+1} = |cos(pi/4 + g x_t^(2p))| x_t.
+    """
+    _require_stationary_branch(a, spec)
     u0 = LatticeState(0, np.array([[a * (1.0 - eps), 0.0]], dtype=np.complex128))
     e1, e2 = _left_edge_series(u0, spec, steps)
     return np.sqrt(np.abs(e1) ** 2 + np.abs(e2) ** 2)
@@ -442,10 +448,7 @@ def edge_recovery_trace(
     1..n; they never reach the left light-cone edge, so the trace depends
     only on the origin value.  Requires the stationary edge branch.
     """
-    if not isinstance(spec, RotationPowerCoin):
-        raise ValueError("edge tracking is defined for the rotation_power family")
-    if not (spec.g < 0) or abs(np.pi / 4.0 + spec.g * a ** (2 * spec.p)) > 1e-9:
-        raise ValueError("parameters are not on the stationary edge branch")
+    _require_stationary_branch(a, spec)
     rows = [[a * (1.0 + eps), 0.0]]
     if right_tail is not None:
         tail = np.asarray(right_tail, dtype=np.complex128)

@@ -20,7 +20,6 @@ __all__ = [
     "combine",
     "scaled",
     "l2_distance",
-    "sup_distance",
     "lp_norm",
     "weak_lp_norm",
     "finding_probability",
@@ -174,12 +173,6 @@ def _aligned(u: LatticeState, v: LatticeState) -> tuple[np.ndarray, np.ndarray]:
 def l2_distance(u: LatticeState, v: LatticeState) -> float:
     a, b = _aligned(u, v)
     return float(np.linalg.norm((a - b).ravel()))
-
-
-def sup_distance(u: LatticeState, v: LatticeState) -> float:
-    """Largest entrywise modulus of the difference."""
-    a, b = _aligned(u, v)
-    return float(np.max(np.abs(a - b)))
 
 
 def lp_norm(u: LatticeState, p: float) -> float:

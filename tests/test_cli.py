@@ -286,6 +286,19 @@ class TestSimulate:
         for name in names1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_integral_float_p_runs_as_the_integer(self, tmp_path):
+        # the schema types p as an integer, which admits 2.0; the resolved
+        # config hands the coin the int 2
+        outs = []
+        for p in ("2.0", "2"):
+            out = tmp_path / f"p{p}"
+            sets = [f"coin.p={p}", "steps=40", "record.snapshots=[0,40]"]
+            argv = ["simulate", "--config", os.path.join(CONFIGS, "soliton.json")]
+            code = main(argv + ["--out", str(out)] + [a for s in sets for a in ("--set", s)])
+            assert code == 0
+            outs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert outs[0] == outs[1]
+
     def test_gnuplot_script_references_the_series(self, tmp_path):
         cfg = self.soliton_cfg(steps=10)
         cfg["output"] = {"gnuplot": True}
@@ -829,6 +842,116 @@ class TestSchemaWalker:
             node = node[key]
         node[keyword] = value
         with pytest.raises(ValueError, match="config schema"):
+            Schema(schema)
+
+    def test_defaults_of_an_empty_config(self):
+        # every default a command reads, in one place
+        assert config_schema().resolve({"schema_version": 1}) == {
+            "schema_version": 1,
+            "initial": {"kind": "delta", "component": 1, "site": 0},
+            "steps": 100,
+            "record": {
+                "sup_norm": True,
+                "lp": [],
+                "weak_lp": [],
+                "argmax": False,
+                "snapshots": [],
+                "final_state": True,
+            },
+            "output": {"gnuplot": False},
+            "table1": {
+                "steps": 10000,
+                "tolerance": 5e-4,
+                "cells": [
+                    {"p": p, "g": g} for p in (1, 2) for g in (0.8, -0.8, 1.0, -1.0)
+                ],
+            },
+            "weak_limit": {
+                "time": 5000,
+                "grid_points": 2001,
+                "ks_threshold": 0.02,
+                "mass_tolerance": 1e-5,
+            },
+            "scatter": {"horizon": 1024, "tolerance": 1e-5},
+            "recover": {
+                "lambdas": [0.2, 0.1, 0.05],
+                "t_max": 2048,
+                "exponent_variant": "theorem",
+            },
+        }
+        assert config_schema().resolve({}) == config_schema().resolve({"schema_version": 1})
+
+    def test_defaults_inside_branches_and_items(self):
+        schema = config_schema()
+        cfg = schema.resolve(
+            {
+                "initial": {"kind": "delta", "scale": [1, 0]},
+                "decay": {"runs": [{"label": "a", "coin": HADAMARD_COIN}]},
+            }
+        )
+        assert cfg["initial"] == {"kind": "delta", "component": 1, "site": 0, "scale": [1.0, 0.0]}
+        assert cfg["decay"] == {
+            "t_min": 1000,
+            "t_max": 10000,
+            "runs": [
+                {
+                    "label": "a",
+                    "coin": HADAMARD_COIN,
+                    "expect": {"slope_tol": 0.05, "intercept_tol": 0.05},
+                }
+            ],
+        }
+        csv_start = {"kind": "csv", "path": "u0.csv"}
+        assert schema.resolve({"initial": csv_start})["initial"] == csv_start
+
+    def test_integral_floats_resolve_to_int(self):
+        first, second = (config_schema().resolve(c) for c in GOOD_CONFIGS)
+        coin = config_schema().resolve(
+            {"coin": {"family": "rotation_power", "theta0": 0, "g": -1, "p": 3.0}}
+        )["coin"]
+        got = [
+            first["schema_version"],
+            first["steps"],
+            first["weak_limit"]["time"],
+            second["initial"]["component"],
+            coin["p"],
+        ]
+        assert got == [1, 2, 10**6, 2, 3]
+        assert all(type(v) is int for v in got)
+        assert type(coin["theta0"]) is type(coin["g"]) is float
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_resolved_configs_are_valid_and_resolve_to_themselves(self, data):
+        cfg = copy.deepcopy(data.draw(st.sampled_from(shipped_configs() + GOOD_CONFIGS)))
+        for _ in range(data.draw(st.integers(1, 3))):
+            cfg = mutate(data, cfg)
+        schema = config_schema()
+        if schema.errors(cfg):
+            return
+        before = copy.deepcopy(cfg)
+        resolved = schema.resolve(cfg)
+        assert cfg == before
+        assert schema.errors(resolved) == []
+        assert schema.resolve(resolved) == resolved
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            (("properties", "weak_limit", "properties", "time"), 0),
+            (("properties", "recover", "properties", "exponent_variant"), "exact"),
+            (("properties", "record"), {"argmax": 1}),
+            (("properties", "initial"), {"kind": "delta", "site": 0.5}),
+            (("properties", "table1", "properties", "cells"), []),
+        ],
+    )
+    def test_defaults_failing_their_own_subschema_are_refused(self, where, value):
+        schema = copy.deepcopy(config_schema().root)
+        node = schema
+        for key in where:
+            node = node[key]
+        node["default"] = value
+        with pytest.raises(ValueError, match="config schema default"):
             Schema(schema)
 
     def test_loading_a_config_does_not_import_jsonschema(self):

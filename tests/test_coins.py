@@ -1,5 +1,7 @@
 """Coin families: construction, unitarity, deviations, and JSON forms."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -348,6 +350,19 @@ class TestJsonRoundTrip:
         examples = {coin_to_json(s)["family"]: coin_to_json(s) for s in self.SPECS}
         for name, branch in zip(names, branches):
             assert branch["required"] == list(examples[name]), name
+
+    def test_schema_types_agree_with_the_field_types(self):
+        # the CLI hands coin_from_json the schema's resolved config, whose
+        # "integer" values are ints and "number" values floats
+        branches = config_schema().root["$defs"]["coin"]["oneOf"]
+        by_name = {b["properties"]["family"]["const"]: b for b in branches}
+        kinds = {"int": "integer", "float": "number"}
+        coupled = [c for c in coins._FAMILIES.values() if issubclass(c, coins._Coupled)]
+        assert len(coupled) == 4
+        for family in coupled:
+            props = by_name[family._name]["properties"]
+            for f in fields(family):
+                assert props[f.name]["type"] == kinds[f.type], (family._name, f.name)
 
     @pytest.mark.parametrize(
         "d, key",

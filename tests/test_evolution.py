@@ -357,6 +357,14 @@ class TestEdgeRecoveryTrace:
         assert series[-1] <= series[len(series) // 2] * 0.6
         assert np.all(np.diff(series[1:]) <= 0)
 
+    def test_rejects_theta0_off_the_stationary_branch(self):
+        # pi/4 + g a^(2p) = 0 holds, but the branch assumes theta0 = pi/4
+        a = soliton_amplitude(-0.8, 1)
+        with pytest.raises(ValueError, match="theta0"):
+            edge_recovery_trace(0.0, a, RotationPowerCoin(0.3, -0.8, 1), 5)
+        with pytest.raises(ValueError, match="theta0"):
+            instability_trace(a, 0.0, RotationPowerCoin(0.3, -0.8, 1), 5)
+
     def test_right_tail_never_reaches_the_edge(self):
         spec = soliton_spec()
         a = soliton_amplitude(spec.g, spec.p)
