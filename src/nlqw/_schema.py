@@ -7,16 +7,12 @@ enum tell true from 1, each keyword checks only instances of the type it
 constrains (so a wrong type hides the others, except that a non-integral
 number is still held to the numeric bounds), and oneOf counts exact
 matches.  A schema that uses any other keyword is refused when loaded,
-and so is a default that fails its own subschema.
-
-resolve() turns a config that has passed validation into the config a run
-uses: absent properties get their schema defaults, and every number gets
-the Python type its schema names (see Schema.resolve).
+and so is a default that fails its own subschema.  Schema.resolve fills a
+validated config's defaults and gives each number its schema's type.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import json
 import os
@@ -109,8 +105,8 @@ class Schema:
 
     def resolve(self, instance):
         """The valid instance as a run uses it, as new objects and arrays:
-        each absent property whose subschema has a default gets a copy of
-        that default, resolved in turn; $ref and the one matching oneOf
+        each absent property whose subschema has a default gets that
+        default, resolved in turn; $ref and the one matching oneOf
         branch are followed; an "integer" becomes an int, a "number" a
         float and a const the schema's own value."""
         return self._resolve(self.root, instance)
@@ -136,7 +132,7 @@ class Schema:
                 if name in x:
                     out[name] = self._resolve(sub, x[name])
                 elif "default" in sub:
-                    out[name] = self._resolve(sub, copy.deepcopy(sub["default"]))
+                    out[name] = self._resolve(sub, sub["default"])
             return out
         return x
 

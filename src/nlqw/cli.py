@@ -508,13 +508,9 @@ def _cmd_scatter(cfg: dict, out: str) -> dict:
     sec = cfg["scatter"]
     horizon = sec["horizon"]
     tol = sec["tolerance"]
-    times_cfg = sec.get("defect_times")
-    defect_times = (
-        np.asarray(times_cfg, dtype=np.int64) if times_cfg is not None else None
-    )
     u0 = _initial_state(cfg)
 
-    report = scattering_series(u0, spec, c0, horizon, defect_times, tol)
+    report = scattering_series(u0, spec, c0, horizon, sec.get("defect_times"), tol)
     _release_free_heap()
 
     sampled = {int(t): float(d) for t, d in zip(report.defect_times, report.defect_series)}

@@ -73,16 +73,21 @@ def _series_args(spec: CoinSpec, c0: np.ndarray, t_max: int) -> np.ndarray:
     return c0
 
 
+@dataclass
+class _SeriesRun:
+    residual: LatticeState
+    tail_norms: np.ndarray
+
+
 class _Residuals:
-    """walk() observer that builds one run's whole series N = sum_t U0^{-t} d_t.
+    """walk() observer that builds each run's whole series N = sum_t U0^{-t} d_t.
 
     The terms d_t = C0^{-1} (C(u) - C0) u are added into the forward frame
     G <- U0 (G + d_t) with a Kahan carry K propagated through the unitary
     step, and G is rotated back once at the end.  The term norms are
-    recorded; with tol > 0 the run stops at the first t >= 64 where the
-    trailing 32 term norms sum below tol (NonConvergenceError if that never
-    happens).  tol = 0 always uses the full horizon.  finish gives N as a
-    state and the term norms.
+    recorded; with tol > 0 the run stops at the first t >= 64 where every
+    run's trailing 32 term norms sum below tol (NonConvergenceError if
+    that never happens).  tol = 0 always uses the full horizon.
     """
 
     def __init__(self, c0: np.ndarray, t_max: int, tol: float) -> None:
@@ -91,16 +96,17 @@ class _Residuals:
         self.tol = tol
         # the rotate-back widens the window by up to t_max more sites per side
         self.margin = t_max + 2
-        self.tails: list[float] = []
+        self.tails: list[np.ndarray] = []
         self.stopped = False
 
     def begin(self, u1, u2, base: int, lo: int, hi: int) -> None:
         self.base = base
         self.g1, self.g2, self.k1, self.k2 = (
-            np.zeros(len(u1), dtype=np.complex128) for _ in range(4)
+            np.zeros(u1.shape, dtype=np.complex128) for _ in range(4)
         )
 
     def observe(self, t, lo, hi, a1, a2, w1, w2) -> bool:
+        a1, a2, w1, w2 = (x.reshape(hi - lo, -1) for x in (a1, a2, w1, w2))
         g1, g2, k1, k2 = self.g1, self.g2, self.k1, self.k2
         # series term d_t = C0^{-1} (C(u) - C0) u, with the difference taken
         # in the coin output frame: when the coin has no intensity-dependent
@@ -108,8 +114,10 @@ class _Residuals:
         # is exactly zero rather than rounding noise
         b1, b2 = self.coin(a1, a2)
         d1, d2 = self.coin_inverse(w1 - b1, w2 - b2)
+        # each run's squared norms summed as one contiguous row, which keeps
+        # the pairwise summation order of a lone run
         q = d1.real**2 + d1.imag**2 + d2.real**2 + d2.imag**2
-        self.tails.append(np.sqrt(q.sum()))
+        self.tails.append(np.sqrt(np.ascontiguousarray(q.T).sum(axis=1)))
         # Kahan add of d_t into the forward-frame accumulator
         for d, g, k in ((d1, g1, k1), (d2, g2, k2)):
             y = d - k[lo:hi]
@@ -120,11 +128,11 @@ class _Residuals:
         for z1, z2 in ((g1, g2), (k1, k2)):
             shift_into(z1, z2, *self.coin(z1[lo:hi], z2[lo:hi]), lo, hi)
         tails = self.tails
-        if self.tol > 0.0 and len(tails) >= 64 and sum(tails[-32:]) < self.tol:
+        if self.tol > 0.0 and len(tails) >= 64 and np.all(sum(tails[-32:]) < self.tol):
             self.stopped = True
         return self.stopped
 
-    def finish(self, t: int, lo: int, hi: int) -> tuple[LatticeState, np.ndarray]:
+    def finish(self, t: int, lo: int, hi: int) -> list[_SeriesRun]:
         if self.tol > 0.0 and not self.stopped:
             raise NonConvergenceError(
                 f"series tails did not fall below {self.tol} within "
@@ -136,8 +144,17 @@ class _Residuals:
         for _ in range(terms):
             lo, hi = inverse_shift_into(g1, g2, g1[lo:hi], g2[lo:hi], lo, hi)
             g1[lo:hi], g2[lo:hi] = self.coin_inverse(g1[lo:hi], g2[lo:hi])
-        residual = LatticeState(self.base + lo, np.column_stack([g1[lo:hi], g2[lo:hi]]))
-        return residual, np.asarray(self.tails)
+
+        norms = np.asarray(self.tails)
+        return [
+            _SeriesRun(
+                residual=LatticeState(
+                    self.base + lo, np.column_stack([g1[lo:hi, r], g2[lo:hi, r]])
+                ),
+                tail_norms=norms[:, r].copy(),
+            )
+            for r in range(g1.shape[1])
+        ]
 
 
 class _Pairings:
@@ -266,10 +283,10 @@ def nonlinear_residual(
     """
     _check_variant(exponent_variant)
     c0 = _series_args(spec, c0, t_max)
-    (residual, _), _ = walk([u0], coin_kernel(spec), t_max, _Residuals(c0, t_max, tol))
+    (run,), _ = walk([u0], coin_kernel(spec), t_max, _Residuals(c0, t_max, tol))
     if exponent_variant == "proof":
-        return linear_step_inverse(residual, c0)
-    return residual
+        return linear_step_inverse(run.residual, c0)
+    return run.residual
 
 
 def wave_operator(
@@ -334,10 +351,10 @@ def scattering_series(
         raise ValueError("defect times must lie in [1, horizon]")
     sampled = tuple(int(t) for t in times)
     c0 = _series_args(spec, c0, horizon)
-    (residual, tail_norms), (states,) = walk(
+    (run,), (states,) = walk(
         [u0], coin_kernel(spec), horizon, _Residuals(c0, horizon, 0.0), sampled
     )
-    u_plus = combine([(1.0, u0), (1.0, residual)])
+    u_plus = combine([(1.0, u0), (1.0, run.residual)])
 
     linear = evolve(
         u_plus,
@@ -350,11 +367,11 @@ def scattering_series(
         dtype=np.float64,
     )
 
-    last_decade = tail_norms[horizon // 10 :]
+    last_decade = run.tail_norms[horizon // 10 :]
     converged = bool(np.sum(last_decade) < tol)
     return ScatteringReport(
         u_plus=u_plus,
-        tail_norms=tail_norms,
+        tail_norms=run.tail_norms,
         defect_times=times,
         defect_series=defects,
         horizon=horizon,
