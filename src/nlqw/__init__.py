@@ -8,173 +8,20 @@ scattering machinery that compares nonlinear runs against their linear
 asymptotics.
 """
 
-from .state import (
-    LatticeState,
-    ProbabilityDistribution,
-    argmax_position,
-    combine,
-    delta_state,
-    finding_probability,
-    inner_product,
-    l2_distance,
-    load_state_csv,
-    lp_norm,
-    save_state_csv,
-    scaled,
-    threshold_positions,
-    weak_lp_norm,
-)
-from .coins import (
-    GALTON_LINEAR,
-    UNITARITY_TOL,
-    CoinSpec,
-    ComposedCoin,
-    ConstantCoin,
-    GaltonCoin,
-    GrossNeveuCoin,
-    QuinticExponentialCoin,
-    RotationPowerCoin,
-    ThirringCoin,
-    apply_coin,
-    c0_from_ab,
-    coin_from_json,
-    coin_to_json,
-    evaluate_coin,
-    linear_part,
-    nonlinear_deviation,
-    nonlinear_partial_derivatives,
-    rotation,
-    unitarity_defect,
-)
-from .evolution import (
-    Recorder,
-    Trajectory,
-    edge_recovery_trace,
-    evolve,
-    g_scaling_check,
-    instability_trace,
-    inverse_shift,
-    linear_step,
-    linear_step_inverse,
-    period4_amplitude,
-    shift,
-    soliton_amplitude,
-    step,
-)
-from .spectral import (
-    DecayFit,
-    DensityCurve,
-    SymbolData,
-    curvature_lower_bound,
-    curvature_minimum,
-    decay_fit,
-    dispersion,
-    eigenprojections,
-    empirical_scaled_cdf,
-    kolmogorov_distance,
-    konno_density,
-    oscillatory_integral,
-    spectral_propagate,
-    strichartz_ratio,
-    symbol,
-    weak_l4_decay_check,
-    weak_limit_cdf,
-    weak_limit_density,
-)
-from .scattering import (
-    NonConvergenceError,
-    RecoveryReport,
-    RecoveryResult,
-    ScatteringReport,
-    dlambda,
-    l5_decay_check,
-    nonlinear_residual,
-    recover_derivatives,
-    recovery_ladder,
-    recovery_probe,
-    scattering_series,
-    wave_operator,
-)
+from . import coins, evolution, scattering, spectral, state
+from .state import *
+from .coins import *
+from .evolution import *
+from .spectral import *
+from .scattering import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "LatticeState",
-    "ProbabilityDistribution",
-    "argmax_position",
-    "combine",
-    "delta_state",
-    "finding_probability",
-    "inner_product",
-    "l2_distance",
-    "load_state_csv",
-    "lp_norm",
-    "save_state_csv",
-    "scaled",
-    "threshold_positions",
-    "weak_lp_norm",
-    "GALTON_LINEAR",
-    "UNITARITY_TOL",
-    "CoinSpec",
-    "ComposedCoin",
-    "ConstantCoin",
-    "GaltonCoin",
-    "GrossNeveuCoin",
-    "QuinticExponentialCoin",
-    "RotationPowerCoin",
-    "ThirringCoin",
-    "apply_coin",
-    "c0_from_ab",
-    "coin_from_json",
-    "coin_to_json",
-    "evaluate_coin",
-    "linear_part",
-    "nonlinear_deviation",
-    "nonlinear_partial_derivatives",
-    "rotation",
-    "unitarity_defect",
-    "Recorder",
-    "Trajectory",
-    "edge_recovery_trace",
-    "evolve",
-    "g_scaling_check",
-    "instability_trace",
-    "inverse_shift",
-    "linear_step",
-    "linear_step_inverse",
-    "period4_amplitude",
-    "shift",
-    "soliton_amplitude",
-    "step",
-    "DecayFit",
-    "DensityCurve",
-    "SymbolData",
-    "curvature_lower_bound",
-    "curvature_minimum",
-    "decay_fit",
-    "dispersion",
-    "eigenprojections",
-    "empirical_scaled_cdf",
-    "kolmogorov_distance",
-    "konno_density",
-    "oscillatory_integral",
-    "spectral_propagate",
-    "strichartz_ratio",
-    "symbol",
-    "weak_l4_decay_check",
-    "weak_limit_cdf",
-    "weak_limit_density",
-    "NonConvergenceError",
-    "RecoveryReport",
-    "RecoveryResult",
-    "ScatteringReport",
-    "dlambda",
-    "l5_decay_check",
-    "nonlinear_residual",
-    "recover_derivatives",
-    "recovery_ladder",
-    "recovery_probe",
-    "scattering_series",
-    "wave_operator",
+    *state.__all__,
+    *coins.__all__,
+    *evolution.__all__,
+    *spectral.__all__,
+    *scattering.__all__,
     "__version__",
 ]

@@ -603,8 +603,6 @@ def _cmd_recover(cfg: dict, out: str) -> dict:
         )
     if "ratio_bounds" in sec:
         lo, hi = sec["ratio_bounds"]
-        if len(errors) < 2:
-            raise ConfigError("ratio_bounds needs at least two ladder rungs")
         ratio = None if all_zero else errors[0] / errors[1]
         checks.append(
             _check(

@@ -24,7 +24,6 @@ from .state import LatticeState
 __all__ = [
     "UNITARITY_TOL",
     "unitarity_defect",
-    "require_unitary",
     "rotation",
     "c0_from_ab",
     "ConstantCoin",
@@ -38,7 +37,6 @@ __all__ = [
     "GALTON_LINEAR",
     "linear_part",
     "evaluate_coin",
-    "coin_kernel",
     "apply_coin",
     "nonlinear_deviation",
     "nonlinear_partial_derivatives",

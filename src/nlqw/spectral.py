@@ -16,9 +16,15 @@ from typing import Callable
 
 import numpy as np
 
-from .coins import c0_from_ab
-from .evolution import linear_step
-from .state import LatticeState, ProbabilityDistribution, finding_probability
+from .coins import ConstantCoin, c0_from_ab
+from .evolution import Recorder, evolve
+from .state import (
+    LatticeState,
+    ProbabilityDistribution,
+    delta_state,
+    finding_probability,
+    lp_norm,
+)
 
 __all__ = [
     "SymbolData",
@@ -484,10 +490,6 @@ def decay_fit(
 def weak_l4_decay_check(a: complex, b: complex, horizon: int) -> np.ndarray:
     """Running max over t <= horizon of <t>^{1/4} times the weak-l4 norm of
     the linear evolution of delta_{1,0}; <t> = sqrt(1 + t^2)."""
-    from .coins import ConstantCoin
-    from .evolution import Recorder, evolve
-    from .state import delta_state
-
     spec = ConstantCoin(c0_from_ab(a, b))
     traj = evolve(delta_state(1, 0), spec, horizon, Recorder(weak_lp=(4.0,)))
     wl4 = traj.series["weak_lp_4"]
@@ -499,10 +501,6 @@ def weak_l4_decay_check(a: complex, b: complex, horizon: int) -> np.ndarray:
 def strichartz_ratio(u0: LatticeState, a: complex, b: complex, horizon: int) -> float:
     """max(sup_t l2, (sum_{t<=T} sup_x ||u(t,x)||^6)^{1/6}) / ||u0||_2 for
     the linear evolution; finite uniformly in T by the dispersive bound."""
-    from .coins import ConstantCoin
-    from .evolution import Recorder, evolve
-    from .state import lp_norm
-
     spec = ConstantCoin(c0_from_ab(a, b))
     traj = evolve(u0, spec, horizon, Recorder(lp=(2.0, np.inf)))
     l2 = traj.series["lp_2"]

@@ -606,6 +606,19 @@ class TestRecover:
         )
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("lambdas", ["[0.5,0.25]", "[0.2]"])
+    def test_rejects_ladders_the_probes_cannot_run(self, tmp_path, capsys, lambdas):
+        # 2*0.5 leaves the probe domain; one rung fits no error order
+        cfg = {"schema_version": 1, "coin": QUINTIC_COIN}
+        code, out, _ = run("recover", tmp_path, cfg, "--set", f"recover.lambdas={lambdas}")
+        assert code == 2
+        assert "at recover/lambdas" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_schema_bounds_lambda_by_half_the_probe_domain(self):
+        lambdas = config_schema().root["properties"]["recover"]["properties"]["lambdas"]
+        assert lambdas["items"]["maximum"] == nlqw.scattering._PROBE_LAMBDA_MAX / 2
+
 
 class TestAllocatorCalls:
     def cfg(self):

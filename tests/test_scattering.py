@@ -160,6 +160,14 @@ class TestStoppingRule:
         shifted = linear_step_inverse(theorem, C0)
         assert l2_distance(proof, shifted) == 0.0
 
+    def test_proof_is_the_reference_inverse_step_of_theorem_bitwise(self):
+        u0 = lockstep_seeds(1, 21)[0]
+        theorem = nonlinear_residual(u0, QUINTIC, C0, t_max=96)
+        proof = nonlinear_residual(u0, QUINTIC, C0, t_max=96, exponent_variant="proof")
+        want = linear_step_inverse(theorem, C0)
+        assert proof.origin == want.origin
+        assert proof.amplitudes.tobytes() == want.amplitudes.tobytes()
+
     def test_rejects_unknown_variant(self):
         with pytest.raises(ValueError):
             nonlinear_residual(
@@ -307,11 +315,6 @@ def lockstep_seeds(runs: int, sites: int):
     return seeds
 
 
-def residual_runs(seeds, t_max: int):
-    observer = scattering._Residuals(C0, t_max, 0.0)
-    return walk(seeds, coin_kernel(QUINTIC), t_max, observer)[0]
-
-
 def pairing_run(seeds, t_max: int, k: int) -> np.ndarray:
     observer = scattering._Pairings(C0, k)
     return walk(seeds, coin_kernel(QUINTIC), t_max, observer)[0]
@@ -322,18 +325,6 @@ def window_sum(n0: int, steps: int) -> int:
 
 
 class TestLockstepBatches:
-    @pytest.mark.parametrize("sites", [1, 3])
-    @pytest.mark.parametrize("runs", [1, 3, 8])
-    def test_each_run_matches_its_lone_run_bitwise(self, runs, sites):
-        seeds = lockstep_seeds(runs, sites)
-        batch = residual_runs(seeds, 37)
-        for seed, got in zip(seeds, batch):
-            (alone,) = residual_runs([seed], 37)
-            assert got.residual.origin == alone.residual.origin
-            amp = got.residual.amplitudes
-            assert amp.tobytes() == alone.residual.amplitudes.tobytes()
-            assert got.tail_norms.tobytes() == alone.tail_norms.tobytes()
-
     @pytest.mark.parametrize("k", [0, 1, 2])
     @pytest.mark.parametrize("sites", [1, 3])
     @pytest.mark.parametrize("runs", [1, 3, 8])
@@ -349,12 +340,8 @@ class TestLockstepBatches:
         # arrays, past numpy's 16384-element temporary elision; a lone
         # run stays below it
         seeds = lockstep_seeds(8, 2101)
-        residuals = residual_runs(seeds, 5)
         pairings = pairing_run(seeds, 5, 1)
         for r, seed in enumerate(seeds):
-            (alone,) = residual_runs([seed], 5)
-            got = residuals[r].residual.amplitudes
-            assert got.tobytes() == alone.residual.amplitudes.tobytes()
             assert pairings[:, r].tobytes() == pairing_run([seed], 5, 1)[:, 0].tobytes()
 
     def test_chunked_batches_match_lone_runs(self, monkeypatch):
@@ -383,8 +370,8 @@ class TestLockstepBatches:
 
     def test_rejects_seeds_on_different_windows(self):
         seeds = [lockstep_seeds(1, 1)[0], lockstep_seeds(1, 3)[0]]
-        with pytest.raises(ValueError):
-            residual_runs(seeds, 8)
+        with pytest.raises(ValueError, match="share origin and window length"):
+            pairing_run(seeds, 8, 0)
 
     def test_pairing_rejects_seeds_off_site_zero(self):
         # far enough right that the linear walk from site 0 would start
