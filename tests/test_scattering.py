@@ -9,12 +9,14 @@ from nlqw import (
     ConstantCoin,
     GaltonCoin,
     NonConvergenceError,
+    Recorder,
     QuinticExponentialCoin,
     RotationPowerCoin,
     c0_from_ab,
     combine,
     delta_state,
     dlambda,
+    evolve,
     LatticeState,
     inner_product,
     l2_distance,
@@ -322,6 +324,37 @@ def pairing_run(seeds, t_max: int, k: int) -> np.ndarray:
 
 def window_sum(n0: int, steps: int) -> int:
     return steps * n0 + steps * (steps - 1)
+
+
+class TestLoneRunSeries:
+    @pytest.mark.parametrize(
+        "sites, t_max",
+        # the widest window passes numpy's 16384-element temporary elision
+        [(1, 37), (3, 37), (21, 96), (16401, 5)],
+    )
+    def test_residual_telescopes_to_the_rotated_back_state(self, sites, t_max):
+        # the terms U0^{-t} d_t telescope to U0^{-T} U(T) u0 - u0, which the
+        # series never forms as a difference; agree to the rounding of the
+        # T forward and T inverse steps of that reference (4 T eps)
+        u0 = lockstep_seeds(1, sites)[0]
+        res = nonlinear_residual(u0, QUINTIC, C0, t_max=t_max)
+        back = evolve(u0, QUINTIC, t_max, Recorder(snapshot_times=(t_max,)))
+        v = back.snapshots[t_max]
+        for _ in range(t_max):
+            v = linear_step_inverse(v, C0)
+        want = combine([(1.0, v), (-1.0, u0)])
+        assert l2_distance(res, want) <= 4 * t_max * 2.0**-52 * lp_norm(u0, 2.0)
+
+    def test_tail_norms_are_the_one_step_defects(self):
+        # tail_norms[t] = ||d_t|| = ||U(t+1) u0 - U0 U(t) u0||, to a few eps
+        u0 = lockstep_seeds(1, 21)[0]
+        report = scattering_series(u0, QUINTIC, C0, 40, defect_times=())
+        times = tuple(range(41))
+        states = evolve(u0, QUINTIC, 40, Recorder(snapshot_times=times)).snapshots
+        want = [l2_distance(states[t + 1], linear_step(states[t], C0)) for t in range(40)]
+        assert report.tail_norms.shape == (40,)
+        bound = 4 * 2.0**-52 * lp_norm(u0, 2.0)
+        assert np.max(np.abs(report.tail_norms - np.asarray(want))) <= bound
 
 
 class TestLockstepBatches:
