@@ -39,8 +39,17 @@ _TYPES = {
 
 
 def _equal(a, b) -> bool:
-    """JSON equality of the scalars const and enum name: true is not 1."""
+    """JSON equality, as const, enum and uniqueItems use it: true is not 1,
+    1 is 1.0, and arrays and objects are equal member by member."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
     return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _repeats(x: list) -> bool:
+    return any(_equal(y, z) for i, y in enumerate(x) for z in x[i + 1 :])
 
 
 # keyword -> check(argument, instance), giving a message on a violation
@@ -59,6 +68,8 @@ _CHECKS = {
     and f"{x!r} is too short",
     "maxItems": lambda a, x: isinstance(x, list) and len(x) > a
     and f"{x!r} is too long",
+    "uniqueItems": lambda a, x: a and isinstance(x, list) and _repeats(x)
+    and f"{x!r} has non-unique elements",
     "minLength": lambda a, x: isinstance(x, str) and len(x) < a
     and f"{x!r} is too short",
     "pattern": lambda a, x: isinstance(x, str) and not re.search(a, x)

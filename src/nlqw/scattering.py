@@ -581,7 +581,8 @@ def recovery_ladder(
     """Run recover_derivatives down a lambda ladder, sharing probes between
     rungs (the 2 lambda probes of one rung are the lambda probes of the rung
     above), and fit the error order in lambda.  Every distinct probe series
-    of the ladder runs in the same lockstep batches.
+    of the ladder runs in the same lockstep batches.  The rungs must be
+    distinct, since the order is fitted through one point per rung.
 
     A zero nonlinearity yields exactly zero errors, which cannot be fit;
     the order is reported as inf in that case.
@@ -589,14 +590,17 @@ def recovery_ladder(
     lams = tuple(float(x) for x in lams)
     if len(lams) < 2:
         raise ValueError("ladder needs at least two rungs")
+    if len(set(lams)) < len(lams):
+        raise ValueError(f"ladder rungs must be distinct, got {list(lams)}")
     probes = _rung_probes(spec, c0, lams, t_max, exponent_variant)
     results = [_rung(spec, lam, probes) for lam in lams]
     errs = np.asarray([r.error for r in results])
     if np.all(errs > 0):
         lx = np.log10(np.asarray(lams))
         ly = np.log10(errs)
-        order, _ = np.polyfit(lx, ly, 1)
-        resid = ly - np.polyval(np.polyfit(lx, ly, 1), lx)
+        coef = np.polyfit(lx, ly, 1)
+        order = coef[0]
+        resid = ly - np.polyval(coef, lx)
         rms = float(np.sqrt(np.mean(resid**2)))
     else:
         order, rms = np.inf, 0.0

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -27,12 +26,10 @@ from .state import (
 )
 
 __all__ = [
-    "SymbolData",
     "DensityCurve",
     "DecayFit",
     "symbol",
     "dispersion",
-    "curvature_lower_bound",
     "curvature_minimum",
     "eigenprojections",
     "oscillatory_integral",
@@ -86,36 +83,40 @@ def dispersion(
     return p0, p1, p2, p3
 
 
-def curvature_minimum(mod_a: float, n_grid: int = 100001) -> tuple[float, float]:
+# Grid points of curvature_minimum's search over [0, 2 pi].
+_CURVATURE_GRID = 100001
+
+
+def curvature_minimum(mod_a: float) -> tuple[float, float]:
     """Grid minimum of (((1 + 2|a|^2)/(1 - |a|^2)) p'')^2 + (p''')^2 and the
-    xi achieving it."""
+    xi achieving it.  The minimum is bounded below by |a|^2 (1 - |a|^2)^2,
+    which is attained at cos xi = 0."""
     r = float(mod_a)
     if not (0.0 < r < 1.0):
         raise ValueError("need 0 < |a| < 1")
-    xi = np.linspace(0.0, 2.0 * np.pi, int(n_grid))
+    xi = np.linspace(0.0, 2.0 * np.pi, _CURVATURE_GRID)
     _, _, p2, p3 = dispersion(xi, r)
     vals = ((1.0 + 2.0 * r * r) / (1.0 - r * r) * p2) ** 2 + p3**2
     i = int(np.argmin(vals))
     return float(vals[i]), float(xi[i])
 
 
-def curvature_lower_bound(mod_a: float, n_grid: int = 100001) -> float:
-    """Minimum over xi of the combined curvature functional; bounded below
-    by |a|^2 (1 - |a|^2)^2, which is attained at cos xi = 0."""
-    return curvature_minimum(mod_a, n_grid)[0]
-
-
 def _projection_grid(
     xi: np.ndarray, a: complex, b: complex
-) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral projections Pi+(xi), Pi-(xi) of the symbol, vectorized.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigen-decomposition U0(xi) = e^{i p~} Pi+ + e^{-i p~} Pi- of the
+    symbol, vectorized: the eigenphase p~(xi) = arccos w = p(xi + theta_a)
+    in [0, pi], and the projections Pi+(xi), Pi-(xi).  The only code that
+    computes them.
 
-    Uses the resolvent form Pi+- = (U0(xi) - lambda_-+ I) / (lambda_+- -
-    lambda_-+), exact for a normal matrix with distinct eigenvalues; the
-    gap |lambda_+ - lambda_-| = 2 sqrt(1 - w^2) >= 2 sqrt(1 - |a|^2) > 0.
+    With w = Re(e^{i xi} a) = |a| cos(xi + theta_a), the eigenvalues are
+    lambda_+- = w +- i sqrt(1 - w^2) = e^{+-i p~}.  The resolvent form
+    Pi+- = (U0(xi) - lambda_-+ I) / (lambda_+- - lambda_-+) is exact for a
+    normal matrix with distinct eigenvalues; the gap |lambda_+ - lambda_-|
+    = 2 sqrt(1 - w^2) >= 2 sqrt(1 - |a|^2) > 0.
     """
     sym = symbol(xi, a, b)
-    w = sym[..., 0, 0].real  # Re(e^{i xi} a) = |a| cos(xi + theta_a)
+    w = sym[..., 0, 0].real
     s = np.sqrt(np.maximum(1.0 - w * w, 0.0))
     lam_p = w + 1j * s
     lam_m = w - 1j * s
@@ -125,53 +126,15 @@ def _projection_grid(
     eye[..., 1, 1] = 1.0
     pi_p = (sym - lam_m[..., None, None] * eye) / denom
     pi_m = (sym - lam_p[..., None, None] * eye) / (-denom)
-    return pi_p, pi_m
+    return np.arccos(np.clip(w, -1.0, 1.0)), pi_p, pi_m
 
 
 def eigenprojections(xi: float, a: complex, b: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-one spectral projections of U0(xi) onto the +- branches."""
+    """Rank-one spectral projections of U0(xi) onto the +- branches, whose
+    eigenvalues are exp(+-i p(xi + theta_a))."""
     a, b = map(complex, c0_from_ab(a, b)[0])
-    pi_p, pi_m = _projection_grid(np.asarray(float(xi)), a, b)
+    _, pi_p, pi_m = _projection_grid(np.asarray(float(xi)), a, b)
     return pi_p, pi_m
-
-
-@dataclass(frozen=True)
-class SymbolData:
-    """Symbol of a linear walk with coin ((a, b), (-conj b, conj a)).
-
-    Bundles the dispersion phase, eigenvalues and eigenprojections; the
-    eigenvalues are exp(+-i p(xi + theta_a)) with theta_a = arg a.
-    """
-
-    a: complex
-    b: complex
-
-    def __post_init__(self) -> None:
-        a, b = map(complex, c0_from_ab(self.a, self.b)[0])
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    @property
-    def mod_a(self) -> float:
-        return abs(self.a)
-
-    @property
-    def theta_a(self) -> float:
-        return float(np.angle(self.a))
-
-    def matrix(self, xi: float | np.ndarray) -> np.ndarray:
-        return symbol(xi, self.a, self.b)
-
-    def dispersion(self, xi: float | np.ndarray):
-        return dispersion(xi, self.mod_a)
-
-    def eigenvalues(self, xi: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        xi = np.asarray(xi, dtype=np.float64)
-        ptilde = np.arccos(self.mod_a * np.cos(xi + self.theta_a))
-        return np.exp(1j * ptilde), np.exp(-1j * ptilde)
-
-    def projections(self, xi: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _projection_grid(np.asarray(xi, dtype=np.float64), self.a, self.b)
 
 
 def _require_pow2(n: int) -> None:
@@ -202,12 +165,10 @@ def oscillatory_integral(
     _require_pow2(n_points)
     if n_points < 8 * max(t, 1):
         raise ValueError("quadrature too coarse for this t; need N >= 8 t")
-    theta_a = float(np.angle(a))
-    xi = 2.0 * np.pi * np.arange(n_points) / n_points
-    p0 = np.arccos(abs(a) * np.cos(xi))
-    pi_p, pi_m = _projection_grid(xi - theta_a, a, b)
+    eta = 2.0 * np.pi * np.arange(n_points) / n_points - float(np.angle(a))
+    p, pi_p, pi_m = _projection_grid(eta, a, b)
     q = pi_p if branch == 1 else pi_m
-    phase = np.exp(1j * (t * branch * p0 + (t * s) * (xi - theta_a)))
+    phase = np.exp(1j * (t * branch * p + (t * s) * eta))
     return (phase[:, None, None] * q).mean(axis=0)
 
 
@@ -218,53 +179,26 @@ def _next_pow2(n: int) -> int:
     return m
 
 
-def spectral_propagate(
-    u0: LatticeState, a: complex, b: complex, t: int, grid_size: int | None = None
-) -> LatticeState:
+def spectral_propagate(u0: LatticeState, a: complex, b: complex, t: int) -> LatticeState:
     """Evolve t steps of the linear walk by FFT diagonalization.
 
     Embeds the window in a ring large enough that the light cone never
-    wraps, applies exp(+-i t p~(xi)) on the eigenprojections per frequency,
-    and returns the full light-cone window.
+    wraps, applies U0(xi)^t = e^{i t p~} Pi+ + e^{-i t p~} Pi- per
+    frequency, and returns the full light-cone window.
     """
     a, b = map(complex, c0_from_ab(a, b)[0])
     if t < 0:
         raise ValueError("t must be nonnegative")
     n0 = len(u0)
-    need = n0 + 2 * t + 64
-    n = _next_pow2(need if grid_size is None else max(grid_size, need))
-    f1 = np.zeros(n, dtype=np.complex128)
-    f2 = np.zeros(n, dtype=np.complex128)
+    n = _next_pow2(n0 + 2 * t + 64)
     pad = t + 32
-    f1[pad : pad + n0] = u0.amplitudes[:, 0]
-    f2[pad : pad + n0] = u0.amplitudes[:, 1]
-
-    xi = 2.0 * np.pi * np.arange(n) / n
-    sym = symbol(xi, a, b)
-    w = sym[:, 0, 0].real
-    sq = np.sqrt(np.maximum(1.0 - w * w, 0.0))
-    ptilde = np.arccos(np.clip(w, -1.0, 1.0))
-    ep = np.exp(1j * t * ptilde)
-    em = np.conj(ep)
-    lam_m = w - 1j * sq
-    denom = 2j * sq
-    # U0^t = e^{i t p~} Pi+ + e^{-i t p~} Pi- with Pi+ = (U0 - lam_- I)/(2 i s)
-    m00 = (ep * (sym[:, 0, 0] - lam_m) + em * (lam_m + 2j * sq - sym[:, 0, 0])) / denom
-    m01 = (ep - em) * sym[:, 0, 1] / denom
-    m10 = (ep - em) * sym[:, 1, 0] / denom
-    m11 = (ep * (sym[:, 1, 1] - lam_m) + em * (lam_m + 2j * sq - sym[:, 1, 1])) / denom
-
-    g1 = np.fft.fft(f1)
-    g2 = np.fft.fft(f2)
-    h1 = m00 * g1 + m01 * g2
-    h2 = m10 * g1 + m11 * g2
-    r1 = np.fft.ifft(h1)
-    r2 = np.fft.ifft(h2)
-
-    lo = pad - t
-    hi = pad + n0 + t
-    amp = np.column_stack([r1[lo:hi], r2[lo:hi]])
-    return LatticeState(u0.origin - t, amp)
+    f = np.zeros((n, 2), dtype=np.complex128)
+    f[pad : pad + n0] = u0.amplitudes
+    ptilde, pi_p, pi_m = _projection_grid(2.0 * np.pi * np.arange(n) / n, a, b)
+    ep = np.exp(1j * t * ptilde)[:, None, None]
+    g = np.einsum("kij,kj->ki", ep * pi_p + np.conj(ep) * pi_m, np.fft.fft(f, axis=0))
+    r = np.fft.ifft(g, axis=0)
+    return LatticeState(u0.origin - t, r[pad - t : pad + n0 + t])
 
 
 def konno_density(v: float | np.ndarray, r: float) -> np.ndarray:
@@ -351,7 +285,7 @@ def _weight_function(
                 root = m * np.pi + np.arcsin(-branch_sign * (-1.0) ** m * arg)
                 eta = root - theta_a
                 uhat = _fourier_values(u_plus, eta)
-                pi_p, pi_m = _projection_grid(eta, a, b)
+                _, pi_p, pi_m = _projection_grid(eta, a, b)
                 q = pi_p if branch_sign > 0 else pi_m
                 qu = np.einsum("kij,kj->ki", q, uhat)
                 wb += np.real(np.einsum("ki,ki->k", np.conj(uhat), qu))

@@ -8,6 +8,7 @@ values; evolution code works on private buffers and copies on the way out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -272,29 +273,47 @@ def save_state_csv(u: LatticeState, path: str) -> None:
 
 
 def load_state_csv(path: str) -> LatticeState:
-    """Read a state written by save_state_csv; sites must be consecutive."""
+    """Read a state written by save_state_csv: consecutive sites and finite
+    amplitudes.  Each rejection names the file and its 1-based line."""
     xs: list[int] = []
-    rows: list[tuple[float, float, float, float]] = []
-    with open(path, "r", encoding="ascii") as fh:
+    rows: list[list[float]] = []
+    columns = STATE_CSV_HEADER.split(",")
+    # a byte outside ASCII reads as U+FFFD, which no field accepts, so it is
+    # rejected at its line like any other bad field
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         header = fh.readline().strip()
         if header != STATE_CSV_HEADER:
-            raise ValueError(f"unexpected state CSV header: {header!r}")
-        for line in fh:
+            raise ValueError(f"{path}:1: unexpected state CSV header {header!r}")
+        for n, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
-            if len(parts) != 5:
-                raise ValueError(f"malformed state CSV row: {line!r}")
-            xs.append(int(parts[0]))
-            rows.append(tuple(float(p) for p in parts[1:]))  # type: ignore[arg-type]
+            if len(parts) != len(columns):
+                raise ValueError(
+                    f"{path}:{n}: expected {len(columns)} fields, got {len(parts)}: {line!r}"
+                )
+            try:
+                x = int(parts[0])
+            except ValueError:
+                raise ValueError(f"{path}:{n}: site {parts[0]!r} is not an integer") from None
+            values = []
+            for name, field in zip(columns[1:], parts[1:]):
+                try:
+                    value = float(field)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}:{n}: {name} {field!r} is not a finite number")
+                values.append(value)
+            if xs and x != xs[-1] + 1:
+                raise ValueError(
+                    f"{path}:{n}: site {x} does not follow site {xs[-1]}; "
+                    "state CSV sites must be consecutive"
+                )
+            xs.append(x)
+            rows.append(values)
     if not xs:
-        raise ValueError("state CSV holds no rows")
-    for prev, cur in zip(xs, xs[1:]):
-        if cur != prev + 1:
-            raise ValueError("state CSV sites must be consecutive")
-    amp = np.empty((len(xs), 2), dtype=np.complex128)
-    for i, (r1, i1, r2, i2) in enumerate(rows):
-        amp[i, 0] = complex(r1, i1)
-        amp[i, 1] = complex(r2, i2)
-    return LatticeState(xs[0], amp)
+        raise ValueError(f"{path}: state CSV holds no rows")
+    # each row's (re, im, re, im) pairs are the bits of its two amplitudes
+    return LatticeState(xs[0], np.array(rows, dtype=np.float64).view(np.complex128))

@@ -499,6 +499,30 @@ class TestWeakLimit:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, line, reason",
+        [
+            ("site,a,b,c,d\n0,1,0,0,0\n", 1, "unexpected state CSV header 'site,a,b,c,d'"),
+            ("{h}\n0,1,0,0,0\n1,0,0,0\n", 3, "expected 5 fields, got 4: '1,0,0,0'"),
+            ("{h}\n0,1,0,0,0\n1.5,0,0,0,0\n", 3, "site '1.5' is not an integer"),
+            ("{h}\n0,1,0,0,0\n\n1,0,nan,0,0\n", 4, "im_u1 'nan' is not a finite number"),
+            ("{h}\n0,0.6,0,0,0\n1,0,0,0.8,0\n3,0,0,0,0\n", 4, "site 3 does not follow site 1"),
+            ("{h}\n0,1,0,0,0\n1,0,\u0663,0,0\n", 3, "im_u1 '\ufffd\ufffd' is not a finite number"),
+        ],
+        ids=["header", "fields", "site", "finite", "gap", "ascii"],
+    )
+    def test_bad_packet_csv_names_the_file_and_line(
+        self, tmp_path, capsys, text, line, reason
+    ):
+        packet = tmp_path / "packet.csv"
+        packet.write_text(text.format(h="x,re_u1,im_u1,re_u2,im_u2"), encoding="utf-8")
+        cfg = self.cfg()
+        cfg["initial"] = {"kind": "csv", "path": str(packet)}
+        code, out, _ = run("weak-limit", tmp_path, cfg)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"nlqw: {packet}:{line}: {reason}")
+        assert not any(out.iterdir())
+
     def test_needs_a_constant_coin(self, tmp_path, capsys):
         cfg = self.cfg()
         cfg["coin"] = {"family": "galton", "g": 0.5}
@@ -613,6 +637,22 @@ class TestRecover:
         code, out, _ = run("recover", tmp_path, cfg, "--set", f"recover.lambdas={lambdas}")
         assert code == 2
         assert "at recover/lambdas" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_rungs_are_rejected_before_any_walk(self, tmp_path, capsys):
+        # a line fitted through two coincident points has no order
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", "recover.json")
+        out = tmp_path / "out"
+        argv = ["recover", "--config", config, "--out", str(out)]
+        argv += ["--set", "recover.lambdas=[0.2,0.2]", "--set", "recover.t_max=16"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "at recover/lambdas: [0.2, 0.2] has non-unique elements" in err
+        assert "Warning" not in err
+        assert caught == []
         assert not out.exists()
 
     def test_schema_bounds_lambda_by_half_the_probe_domain(self):
@@ -748,6 +788,8 @@ BAD_CONFIGS = [
     {"schema_version": 1, "initial": {"kind": "csv", "path": ""}},
     {"schema_version": 1, "decay": {"runs": [{"label": "a b", "coin": 3}]}},
     {"schema_version": 1, "recover": {"ratio_bounds": [1], "t_max": 10**5 + 1}},
+    {"schema_version": 1, "recover": {"lambdas": [0.2, 0.1, 0.2]}},
+    {"schema_version": 1, "recover": {"lambdas": [0.2, 0.2], "ratio_bounds": [3, 3]}},
     {"schema_version": 1, "weak_limit": {"time": 10**6 + 1}},
     [],
     "config",
@@ -839,9 +881,31 @@ class TestSchemaWalker:
         assert ours == theirs
 
     @pytest.mark.parametrize(
+        "items",
+        [
+            [0.2, 0.2],
+            [1, 1.0],
+            [True, 1],
+            [False, 0, None],
+            [[1, [2]], [1.0, [2.0]]],
+            [[True], [1]],
+            [{"a": 1, "b": [0]}, {"b": [0.0], "a": 1}],
+            [{"a": 1}, {"a": 1, "b": 2}],
+            ["x", "y", "x"],
+            [],
+        ],
+    )
+    def test_unique_items_agrees_with_jsonschema(self, items):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = {"type": "array", "uniqueItems": True}
+        theirs = [e.message for e in jsonschema.Draft202012Validator(schema).iter_errors(items)]
+        ours = [message for _, message in Schema(schema).errors(items)]
+        assert ours == theirs
+
+    @pytest.mark.parametrize(
         "where, keyword, value",
         [
-            (("properties", "recover", "properties", "ratio_bounds"), "uniqueItems", True),
+            (("properties", "recover", "properties", "ratio_bounds"), "contains", {}),
             (("$defs", "complex_pair"), "prefixItems", [{"type": "number"}]),
             (("properties", "record"), "additionalProperties", {"type": "number"}),
             (("properties", "steps"), "$ref", "other.json#/$defs/walk_steps"),

@@ -303,6 +303,15 @@ class TestRecoveryLadder:
         with pytest.raises(ValueError):
             recovery_ladder(QUINTIC, C0, lams=(0.2, -0.1))
 
+    @pytest.mark.parametrize("lams", [(0.2, 0.2), (0.2, 0.1, 0.2)])
+    def test_rejects_repeated_rungs_before_any_walk(self, lams, monkeypatch):
+        def no_probes(*args, **kwargs):
+            raise AssertionError("a probe walk ran")
+
+        monkeypatch.setattr(scattering, "_rung_probes", no_probes)
+        with pytest.raises(ValueError, match="rungs must be distinct"):
+            recovery_ladder(QUINTIC, C0, lams=lams)
+
 
 def lockstep_seeds(runs: int, sites: int):
     """Distinct small seeds on a shared window around site 0: one-site

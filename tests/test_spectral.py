@@ -11,10 +11,8 @@ from nlqw import (
     ConstantCoin,
     LatticeState,
     Recorder,
-    SymbolData,
     c0_from_ab,
     combine,
-    curvature_lower_bound,
     curvature_minimum,
     decay_fit,
     delta_state,
@@ -43,6 +41,8 @@ I2 = np.eye(2, dtype=np.complex128)
 
 HADAMARD_PAIR = (R, R)
 COMPLEX_PAIR = (0.6 * np.exp(1j * 0.9), 0.8)
+PHASED_PAIR = (0.6 * np.exp(0.4j), 0.8 * np.exp(-1.1j))
+PAIRS = [HADAMARD_PAIR, COMPLEX_PAIR, PHASED_PAIR]
 
 xi_values = st.floats(min_value=-7.0, max_value=7.0, allow_nan=False)
 
@@ -111,10 +111,10 @@ class TestCurvatureBound:
     @pytest.mark.parametrize("r", [0.3, R, 0.9])
     def test_analytic_floor(self, r):
         floor = r * r * (1.0 - r * r) ** 2
-        assert curvature_lower_bound(r) >= floor - 1e-10
+        assert curvature_minimum(r)[0] >= floor - 1e-10
 
     def test_balanced_coin_floor_is_one_eighth(self):
-        assert curvature_lower_bound(R) >= 0.125 - 1e-10
+        assert curvature_minimum(R)[0] >= 0.125 - 1e-10
 
     def test_minimum_is_attained_where_cosine_vanishes(self):
         val, xi = curvature_minimum(R)
@@ -138,37 +138,16 @@ class TestEigenprojections:
         assert np.max(np.abs(pp @ pp - pp)) <= 1e-12
         assert np.max(np.abs(pm @ pm - pm)) <= 1e-12
 
-    @given(xi=xi_values)
-    @settings(max_examples=100, deadline=None)
-    def test_eigen_equation(self, xi):
-        a, b = COMPLEX_PAIR
-        data = SymbolData(a, b)
-        lam_p, lam_m = data.eigenvalues(xi)
+    @given(xi=xi_values, pair=st.sampled_from(PAIRS))
+    @settings(max_examples=150, deadline=None)
+    def test_eigen_equation(self, xi, pair):
+        # U0(xi) Pi+- = e^{+-i p(xi + theta_a)} Pi+-
+        a, b = pair
+        p = dispersion(xi + np.angle(a), abs(a))[0]
         pp, pm = eigenprojections(xi, a, b)
         m = symbol(xi, a, b)
-        assert np.max(np.abs(m @ pp - lam_p * pp)) <= 1e-12
-        assert np.max(np.abs(m @ pm - lam_m * pm)) <= 1e-12
-
-
-class TestSymbolData:
-    @given(xi=xi_values)
-    @settings(max_examples=150, deadline=None)
-    def test_eigenvalues_unimodular_with_unit_product(self, xi):
-        data = SymbolData(*COMPLEX_PAIR)
-        lam_p, lam_m = data.eigenvalues(xi)
-        assert abs(abs(lam_p) - 1.0) <= 1e-12
-        assert abs(abs(lam_m) - 1.0) <= 1e-12
-        assert abs(lam_p * lam_m - 1.0) <= 1e-12
-
-    @given(xi=xi_values)
-    @settings(max_examples=150, deadline=None)
-    def test_eigenvalue_phase_is_the_shifted_dispersion(self, xi):
-        a, b = COMPLEX_PAIR
-        data = SymbolData(a, b)
-        lam_p, lam_m = data.eigenvalues(xi)
-        p0 = dispersion(xi + data.theta_a, abs(a))[0]
-        assert abs(lam_p - np.exp(1j * p0)) <= 1e-12
-        assert abs(lam_m - np.exp(-1j * p0)) <= 1e-12
+        assert np.max(np.abs(m @ pp - np.exp(1j * p) * pp)) <= 1e-12
+        assert np.max(np.abs(m @ pm - np.exp(-1j * p) * pm)) <= 1e-12
 
 
 class TestOscillatoryIntegral:
@@ -228,6 +207,17 @@ class TestSpectralPropagate:
         fourier = spectral_propagate(u0, a, b, t)
         diff = combine([(1.0, fourier), (-1.0, direct)])
         assert lp_norm(diff, np.inf) <= 1e-10
+
+    @pytest.mark.parametrize("pair", [HADAMARD_PAIR, PHASED_PAIR])
+    @pytest.mark.parametrize("t", [0, 1, 64, 500])
+    def test_complex_packet_matches_evolve(self, pair, t):
+        rng = np.random.default_rng(7)
+        amp = rng.normal(size=(21, 2)) + 1j * rng.normal(size=(21, 2))
+        u0 = LatticeState(-10, amp / np.linalg.norm(amp))
+        direct = evolve(u0, ConstantCoin(c0_from_ab(*pair)), t).final
+        fourier = spectral_propagate(u0, *pair, t)
+        assert (fourier.origin, len(fourier)) == (direct.origin, len(direct))
+        assert l2_distance(fourier, direct) <= 1e-12
 
     def test_norm_preserved(self):
         u0 = delta_state(1, 0)
