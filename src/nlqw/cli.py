@@ -139,6 +139,16 @@ def _initial_state(cfg: dict) -> LatticeState:
     return u
 
 
+def _initial_mass(cfg: dict) -> tuple[LatticeState, float]:
+    """The initial state and its mass ||u0||^2, refused when zero: a zero
+    state has no law to compare and no decay to fit."""
+    u0 = _initial_state(cfg)
+    mass = float(lp_norm(u0, 2.0)) ** 2
+    if mass == 0.0:
+        raise ConfigError("initial: the initial state has zero l2 norm")
+    return u0, mass
+
+
 def _coin_of(cfg: dict) -> CoinSpec:
     if "coin" not in cfg:
         raise ConfigError("this command needs a 'coin' section")
@@ -372,10 +382,14 @@ def _cmd_decay(cfg: dict, out: str) -> dict:
     sec = cfg["decay"]
     t_min = sec["t_min"]
     t_max = sec["t_max"]
+    if t_min >= t_max:
+        raise ConfigError(
+            f"decay.t_min ({t_min}) must be below decay.t_max ({t_max})"
+        )
     steps = sec.get("steps", t_max)
     if steps < t_max:
         raise ConfigError("decay.steps must reach decay.t_max")
-    u0 = _initial_state(cfg)
+    u0, _ = _initial_mass(cfg)
 
     def run_one(run: dict) -> tuple[str, np.ndarray, object]:
         spec = coin_from_json(run["coin"])
@@ -454,7 +468,7 @@ def _cmd_weak_limit(cfg: dict, out: str) -> dict:
     ks_threshold = sec["ks_threshold"]
     mass_tolerance = sec["mass_tolerance"]
 
-    u0 = _initial_state(cfg)
+    u0, mass_target = _initial_mass(cfg)
     traj = evolve(u0, spec, time)
     _release_free_heap()
     v_grid = np.linspace(-1.0, 1.0, grid_points)
@@ -462,9 +476,9 @@ def _cmd_weak_limit(cfg: dict, out: str) -> dict:
     curve = weak_limit_density(u0, a, b, v_grid)
     theory = weak_limit_cdf(u0, a, b, v_grid)
     empirical = empirical_scaled_cdf(traj.final, time, v_grid)
-    ks = kolmogorov_distance(empirical, theory)
+    # both CDFs rise to the packet's mass; the checks compare them as laws
+    ks = kolmogorov_distance(empirical / mass_target, theory / mass_target)
     mass = float(curve.total_mass)
-    mass_target = float(lp_norm(u0, 2.0)) ** 2
 
     for name, header, values in (
         ("density.csv", "v,density", curve.density),
@@ -477,7 +491,7 @@ def _cmd_weak_limit(cfg: dict, out: str) -> dict:
         _check("kolmogorov", ks <= ks_threshold, value=ks, threshold=ks_threshold),
         _check(
             "density_mass",
-            abs(mass - mass_target) <= mass_tolerance,
+            abs(mass - mass_target) <= mass_tolerance * mass_target,
             value=mass,
             expected=mass_target,
             tolerance=mass_tolerance,
@@ -550,9 +564,8 @@ def _cmd_recover(cfg: dict, out: str) -> dict:
     sec = cfg["recover"]
     lams = tuple(sec["lambdas"])
     t_max = sec["t_max"]
-    variant = sec["exponent_variant"]
 
-    report = recovery_ladder(spec, c0, lams, t_max, variant)
+    report = recovery_ladder(spec, c0, lams, t_max)
     _release_free_heap()
 
     rungs = []
@@ -577,7 +590,6 @@ def _cmd_recover(cfg: dict, out: str) -> dict:
         "schema_version": cfg["schema_version"],
         "lambdas": [float(x) for x in report.lams],
         "t_max": report.t_max,
-        "exponent_variant": report.exponent_variant,
         "fitted_order": _finite_or_none(report.fitted_order),
         "fit_residual_rms": _finite_or_none(report.fit_residual_rms),
         "errors_all_zero": all_zero,

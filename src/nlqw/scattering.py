@@ -78,18 +78,16 @@ class _Residuals:
 
     The terms d_t = C0^{-1} (C(u) - C0) u are added into the forward frame
     G <- U0 (G + d_t) with a Kahan carry K propagated through the unitary
-    step, and G is rotated back once at the end, `extra` steps further
-    (U0^{-extra} N) for the "proof" indexing.  The term norms are
+    step, and G is rotated back once at the end.  The term norms are
     recorded; with tol > 0 the run stops at the first t >= 64 where the
     trailing 32 term norms sum below tol (NonConvergenceError if that
     never happens).  tol = 0 always uses the full horizon.
     """
 
-    def __init__(self, c0: np.ndarray, t_max: int, tol: float, extra: int = 0) -> None:
+    def __init__(self, c0: np.ndarray, t_max: int, tol: float) -> None:
         self.coin = matrix_kernel(c0)
         self.coin_inverse = matrix_kernel(c0.conj().T)
         self.tol = tol
-        self.extra = extra
         # the rotate-back widens the window by up to t_max + 1 more sites per side
         self.margin = t_max + 2
         self.tails: list[float] = []
@@ -126,15 +124,15 @@ class _Residuals:
         return self.stopped
 
     def finish(self, t: int, lo: int, hi: int) -> tuple[LatticeState, np.ndarray]:
-        """The residual U0^{-extra} N and the term norms."""
+        """The residual N and the term norms."""
         if self.tol > 0.0 and not self.stopped:
             raise NonConvergenceError(
                 f"series tails did not fall below {self.tol} within "
                 f"{len(self.tails)} terms"
             )
         g1, g2 = self.g1, self.g2
-        # rotate the accumulated sum back: U0^{-extra} N = U0^{-terms-extra} G
-        for _ in range(len(self.tails) + self.extra):
+        # rotate the accumulated sum back: N = U0^{-terms} G
+        for _ in range(len(self.tails)):
             lo, hi = inverse_shift_into(g1, g2, g1[lo:hi], g2[lo:hi], lo, hi)
             g1[lo:hi], g2[lo:hi] = self.coin_inverse(g1[lo:hi], g2[lo:hi])
         residual = LatticeState(self.base + lo, np.column_stack([g1[lo:hi], g2[lo:hi]]))
@@ -245,30 +243,20 @@ def _lockstep_pairings(
     )
 
 
-def _check_variant(exponent_variant: str) -> None:
-    if exponent_variant not in ("theorem", "proof"):
-        raise ValueError("exponent_variant must be 'theorem' or 'proof'")
-
-
 def nonlinear_residual(
     u0: LatticeState,
     spec: CoinSpec,
     c0: np.ndarray,
     tol: float = 0.0,
     t_max: int = 2048,
-    exponent_variant: str = "theorem",
 ) -> LatticeState:
     """Series value W* u0 - u0, accumulated directly from its terms.
 
     Never computed as a difference of near-equal states: each term is built
     pointwise from the intensity factor and added into the running frame.
-    exponent_variant "proof" applies one extra inverse linear step to the
-    whole sum (the off-by-one alternative indexing of the series).
     """
-    _check_variant(exponent_variant)
     c0 = _series_args(spec, c0, t_max)
-    observer = _Residuals(c0, t_max, tol, extra=int(exponent_variant == "proof"))
-    (residual, _), _ = walk([u0], coin_kernel(spec), t_max, observer)
+    (residual, _), _ = walk([u0], coin_kernel(spec), t_max, _Residuals(c0, t_max, tol))
     return residual
 
 
@@ -278,11 +266,10 @@ def wave_operator(
     c0: np.ndarray,
     tol: float = 1e-7,
     t_max: int = 4096,
-    exponent_variant: str = "theorem",
 ) -> LatticeState:
     """Asymptotic profile W* u0 = u0 + (series), sharing the accumulation
     path of nonlinear_residual bit for bit."""
-    res = nonlinear_residual(u0, spec, c0, tol, t_max, exponent_variant)
+    res = nonlinear_residual(u0, spec, c0, tol, t_max)
     return combine([(1.0, u0), (1.0, res)])
 
 
@@ -401,7 +388,6 @@ def _probe_pairs(
     c0: np.ndarray,
     keys: list[tuple[float, int]],
     t_max: int,
-    exponent_variant: str,
 ) -> dict[tuple[float, int], tuple[complex, complex]]:
     """Both pairings <(W* - U0^{-1} W* U0) w0, delta_{j,0}> for j = 1, 2,
     scaled by lambda^{-10}, for each (lambda, row) key.
@@ -414,14 +400,11 @@ def _probe_pairs(
     <(C_hat - I) w0, delta_{j,0}> as lambda -> 0. The opposite orientation
     converges to its negative.
     """
-    _check_variant(exponent_variant)
-    # <I N_base - U0^{-1} I N_shift, delta> with I the identity (theorem) or
-    # U0^{-1} (proof): the shifted series pairs with delta one step later
-    k = 1 if exponent_variant == "proof" else 0
+    # <N_base - U0^{-1} N_shift, delta> = <N_base, delta> - <N_shift, U0 delta>
     seeds = [_probe_w0(lam, row) for lam, row in keys]
-    bases = _lockstep_pairings(seeds, spec, c0, t_max, k)
+    bases = _lockstep_pairings(seeds, spec, c0, t_max, 0)
     shifted = [linear_step(w0, c0) for w0 in seeds]
-    shifts = _lockstep_pairings(shifted, spec, c0, t_max, k + 1)
+    shifts = _lockstep_pairings(shifted, spec, c0, t_max, 1)
     diff = bases - shifts
     out = {}
     for r, key in enumerate(keys):
@@ -445,13 +428,12 @@ def recovery_probe(
     row: int,
     j: int,
     t_max: int = 2048,
-    exponent_variant: str = "theorem",
 ) -> complex:
     """Scattering probe L_{row,j}(lambda) = lambda^{-10}
     <(W* - U0^{-1} W* U0) w0, delta_{j,0}> with w0 the row-specific
     two-site seed lambda^2 delta_1 + lambda^3 delta_2 (rows swapped for 2)."""
     _check_probe_args(spec, lam, row, j)
-    pairs = _probe_pairs(spec, c0, [(lam, row)], t_max, exponent_variant)
+    pairs = _probe_pairs(spec, c0, [(lam, row)], t_max)
     return pairs[(lam, row)][j - 1]
 
 
@@ -505,7 +487,6 @@ def _rung_probes(
     c0: np.ndarray,
     lams: tuple[float, ...],
     t_max: int,
-    exponent_variant: str,
 ) -> dict[tuple[float, int], tuple[complex, complex]]:
     """Probe pairs of the rungs lams keyed by (lambda, row), probing each
     distinct lambda of lams and 2 lams once."""
@@ -515,7 +496,7 @@ def _rung_probes(
             raise ValueError("need 2*lambda within the probe domain")
     amps = dict.fromkeys(x for lam in lams for x in (lam, 2.0 * lam))
     keys = [(x, row) for x in amps for row in (1, 2)]
-    return _probe_pairs(spec, c0, keys, t_max, exponent_variant)
+    return _probe_pairs(spec, c0, keys, t_max)
 
 
 def _rung(
@@ -547,11 +528,10 @@ def recover_derivatives(
     c0: np.ndarray,
     lam: float,
     t_max: int = 2048,
-    exponent_variant: str = "theorem",
 ) -> RecoveryResult:
     """Estimate both partial derivatives of the squared-intensity factor at
     zero from probes at lambda and 2 lambda; errors are O(lambda^3)."""
-    probes = _rung_probes(spec, c0, (lam,), t_max, exponent_variant)
+    probes = _rung_probes(spec, c0, (lam,), t_max)
     return _rung(spec, lam, probes)
 
 
@@ -564,7 +544,6 @@ class RecoveryReport:
     fitted_order: float
     fit_residual_rms: float
     t_max: int
-    exponent_variant: str
 
     @property
     def errors(self) -> np.ndarray:
@@ -576,7 +555,6 @@ def recovery_ladder(
     c0: np.ndarray,
     lams: tuple[float, ...] = (0.2, 0.1, 0.05),
     t_max: int = 2048,
-    exponent_variant: str = "theorem",
 ) -> RecoveryReport:
     """Run recover_derivatives down a lambda ladder, sharing probes between
     rungs (the 2 lambda probes of one rung are the lambda probes of the rung
@@ -592,7 +570,7 @@ def recovery_ladder(
         raise ValueError("ladder needs at least two rungs")
     if len(set(lams)) < len(lams):
         raise ValueError(f"ladder rungs must be distinct, got {list(lams)}")
-    probes = _rung_probes(spec, c0, lams, t_max, exponent_variant)
+    probes = _rung_probes(spec, c0, lams, t_max)
     results = [_rung(spec, lam, probes) for lam in lams]
     errs = np.asarray([r.error for r in results])
     if np.all(errs > 0):
@@ -610,5 +588,4 @@ def recovery_ladder(
         fitted_order=float(order),
         fit_residual_rms=rms,
         t_max=t_max,
-        exponent_variant=exponent_variant,
     )

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import glob
 import json
 import math
@@ -54,6 +55,10 @@ def run(command, tmp_path, cfg, *extra, out_name="out"):
     if summary_path.exists():
         summary = json.loads(summary_path.read_text())
     return code, out, summary
+
+
+def no_walk(*args, **kwargs):
+    raise AssertionError("a walk ran")
 
 
 def read_csv(path):
@@ -451,6 +456,44 @@ class TestDecay:
         assert code == 2
         assert "t_max" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t_min, t_max", [(20000, 8000), (3000, 3000)])
+    def test_empty_fit_window_is_rejected_before_any_walk(
+        self, tmp_path, capsys, monkeypatch, t_min, t_max
+    ):
+        monkeypatch.setattr(cli, "evolve", no_walk)
+        cfg = {
+            "schema_version": 1,
+            "decay": {
+                "t_min": t_min,
+                "t_max": t_max,
+                "runs": [{"label": "x", "coin": HADAMARD_COIN}],
+            },
+        }
+        code, out, summary = run("decay", tmp_path, cfg)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"nlqw: decay.t_min ({t_min}) must be below decay.t_max ({t_max})\n"
+        )
+        assert summary is None
+
+    def test_zero_state_is_rejected_before_any_walk(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "evolve", no_walk)
+        cfg = {
+            "schema_version": 1,
+            "initial": {"kind": "delta", "scale": 0},
+            "decay": {
+                "t_min": 10,
+                "t_max": 50,
+                "runs": [{"label": "x", "coin": HADAMARD_COIN}],
+            },
+        }
+        code, _, summary = run("decay", tmp_path, cfg)
+        assert code == 2
+        assert "nlqw: initial: " in capsys.readouterr().err
+        assert summary is None
+
 
 class TestWeakLimit:
     def cfg(self, **overrides):
@@ -488,9 +531,6 @@ class TestWeakLimit:
     def test_time_beyond_the_bound_is_rejected_before_any_step(
         self, tmp_path, capsys, monkeypatch
     ):
-        def no_walk(*args, **kwargs):
-            raise AssertionError("a walk ran")
-
         monkeypatch.setattr(cli, "evolve", no_walk)
         code, out, _ = run("weak-limit", tmp_path, self.cfg(time=10**6 + 1))
         assert code == 2
@@ -498,6 +538,61 @@ class TestWeakLimit:
             capsys.readouterr().err
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("scale", [3, 0.01])
+    def test_checks_do_not_scale_with_the_packet_mass(self, tmp_path, scale):
+        def summary_at(scale):
+            cfg = self.cfg(time=1000)
+            cfg["initial"] = {"kind": "delta", "scale": scale}
+            _, _, summary = run("weak-limit", tmp_path, cfg, out_name=f"out{scale}")
+            return summary
+
+        unit, other = summary_at(1), summary_at(scale)
+        assert other["kolmogorov_distance"] == pytest.approx(
+            unit["kolmogorov_distance"], rel=1e-12
+        )
+        assert [c["passed"] for c in other["checks"]] == [
+            c["passed"] for c in unit["checks"]
+        ]
+
+    @pytest.mark.parametrize("scale, error, passed", [(3, 5e-5, True), (0.01, 2e-4, False)])
+    def test_mass_tolerance_is_relative_to_the_packet_mass(
+        self, tmp_path, monkeypatch, scale, error, passed
+    ):
+        # the density's mass is put off by `error` relative to ||u0||^2, which
+        # is 4.5e-4 absolute at scale 3 and 2e-8 at scale 0.01, against a
+        # mass_tolerance of 1e-4
+        real = cli.weak_limit_density
+
+        def off(*args):
+            curve = real(*args)
+            return dataclasses.replace(curve, total_mass=curve.total_mass * (1 + error))
+
+        monkeypatch.setattr(cli, "weak_limit_density", off)
+        cfg = self.cfg(time=200)
+        cfg["initial"] = {"kind": "delta", "scale": scale}
+        _, _, summary = run("weak-limit", tmp_path, cfg)
+        assert summary["checks"][1]["name"] == "density_mass"
+        assert summary["checks"][1]["passed"] is passed
+
+    @pytest.mark.parametrize("initial", ["delta", "csv"])
+    def test_zero_state_is_rejected_before_any_walk(
+        self, tmp_path, capsys, monkeypatch, initial
+    ):
+        monkeypatch.setattr(cli, "evolve", no_walk)
+        cfg = self.cfg(time=1000)
+        if initial == "delta":
+            cfg["initial"] = {"kind": "delta", "scale": 0}
+        else:
+            packet = tmp_path / "packet.csv"
+            packet.write_text("x,re_u1,im_u1,re_u2,im_u2\n0,0,0,0,0\n1,0,0,0,0\n")
+            cfg["initial"] = {"kind": "csv", "path": str(packet)}
+        code, _, summary = run("weak-limit", tmp_path, cfg)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "nlqw: initial: the initial state has zero l2 norm\n"
+        )
+        assert summary is None
 
     @pytest.mark.parametrize(
         "text, line, reason",
@@ -653,6 +748,18 @@ class TestRecover:
         assert "at recover/lambdas: [0.2, 0.2] has non-unique elements" in err
         assert "Warning" not in err
         assert caught == []
+        assert not out.exists()
+
+    def test_removed_exponent_variant_key_is_rejected(self, tmp_path, capsys):
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", "recover.json")
+        out = tmp_path / "out"
+        argv = ["recover", "--config", config, "--out", str(out)]
+        code = main(argv + ["--set", 'recover.exponent_variant="theorem"'])
+        assert code == 2
+        assert (
+            "at recover: Additional properties are not allowed "
+            "('exponent_variant' was unexpected)"
+        ) in capsys.readouterr().err
         assert not out.exists()
 
     def test_schema_bounds_lambda_by_half_the_probe_domain(self):
@@ -912,7 +1019,7 @@ class TestSchemaWalker:
             (("properties", "output", "properties", "gnuplot"), "type", "null"),
             # a default must pass its own subschema
             (("properties", "weak_limit", "properties", "time"), "default", 0),
-            (("properties", "recover", "properties", "exponent_variant"), "default", "exact"),
+            (("$defs", "initial", "oneOf", 0, "properties", "component"), "default", 3),
             (("properties", "record"), "default", {"argmax": 1}),
             (("properties", "initial"), "default", {"kind": "delta", "site": 0.5}),
             (("properties", "table1", "properties", "cells"), "default", []),
@@ -956,11 +1063,7 @@ class TestSchemaWalker:
                 "mass_tolerance": 1e-5,
             },
             "scatter": {"horizon": 1024, "tolerance": 1e-5},
-            "recover": {
-                "lambdas": [0.2, 0.1, 0.05],
-                "t_max": 2048,
-                "exponent_variant": "theorem",
-            },
+            "recover": {"lambdas": [0.2, 0.1, 0.05], "t_max": 2048},
         }
         assert config_schema().resolve({}) == config_schema().resolve({"schema_version": 1})
 

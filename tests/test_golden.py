@@ -74,12 +74,13 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     ),
     # recorded when the probes moved from whole residual states to adjoint
     # pairings: probe and m entries moved by at most 7.8e-14 of the largest
-    # entry of their matrix, error by at most 2.1e-11 relative
+    # entry of their matrix, error by at most 2.1e-11 relative; recovery.json
+    # re-recorded when it lost its exponent_variant field, values unchanged
     "recover": (
         0,
         {
             "plot.gp": "77161c56fa3933b24bb9906c160358b57b43a2a542145755b17f1047397c3b53",
-            "recovery.json": "69ebc57672b946bf7b415d02517407ad561c80001374764c9aa753cb5dbfef44",
+            "recovery.json": "cbbbc2bd9607a53ba613025c62edd7198912f5d62448578ee46fcd5a7e34ef49",
             "recovery_errors.csv": "bf424c468b196d8195fe9479baed9d6ca9c8ee37d47d6e5109cf515fa6ac707d",
         },
     ),

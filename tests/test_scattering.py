@@ -153,29 +153,6 @@ class TestStoppingRule:
         with pytest.raises(NonConvergenceError):
             wave_operator(u0, QUINTIC, C0, tol=1e-13, t_max=128)
 
-    def test_proof_indexing_shifts_the_series_by_one_inverse_step(self):
-        u0 = probe_seed(0.3)
-        theorem = nonlinear_residual(u0, QUINTIC, C0, t_max=256)
-        proof = nonlinear_residual(
-            u0, QUINTIC, C0, t_max=256, exponent_variant="proof"
-        )
-        shifted = linear_step_inverse(theorem, C0)
-        assert l2_distance(proof, shifted) == 0.0
-
-    def test_proof_is_the_reference_inverse_step_of_theorem_bitwise(self):
-        u0 = lockstep_seeds(1, 21)[0]
-        theorem = nonlinear_residual(u0, QUINTIC, C0, t_max=96)
-        proof = nonlinear_residual(u0, QUINTIC, C0, t_max=96, exponent_variant="proof")
-        want = linear_step_inverse(theorem, C0)
-        assert proof.origin == want.origin
-        assert proof.amplitudes.tobytes() == want.amplitudes.tobytes()
-
-    def test_rejects_unknown_variant(self):
-        with pytest.raises(ValueError):
-            nonlinear_residual(
-                probe_seed(0.2), QUINTIC, C0, t_max=64, exponent_variant="both"
-            )
-
 
 class TestL5DecayCheck:
     def test_initial_value_is_dominated_by_l1(self):
@@ -422,18 +399,15 @@ class TestLockstepBatches:
         with pytest.raises(ValueError, match="site 0"):
             pairing_run([seed], 3, 0)
 
-    @pytest.mark.parametrize("variant", ["theorem", "proof"])
-    def test_ladder_probes_match_single_probes_bitwise(self, variant):
-        report = recovery_ladder(
-            QUINTIC, C0, lams=(0.2, 0.1), t_max=48, exponent_variant=variant
-        )
+    def test_ladder_probes_match_single_probes_bitwise(self):
+        report = recovery_ladder(QUINTIC, C0, lams=(0.2, 0.1), t_max=48)
         for res in report.results:
             rungs = ((res.lam, res.probes_lam), (2.0 * res.lam, res.probes_2lam))
             for lam, probes in rungs:
                 single = np.array(
                     [
                         [
-                            recovery_probe(QUINTIC, C0, lam, row, j, 48, variant)
+                            recovery_probe(QUINTIC, C0, lam, row, j, 48)
                             for j in (1, 2)
                         ]
                         for row in (1, 2)
@@ -463,12 +437,12 @@ class TestLockstepBatches:
         assert len(sites) == 2 * t_max
 
 
-def full_state_pair(lam: float, row: int, t_max: int, variant: str):
+def full_state_pair(lam: float, row: int, t_max: int):
     """Both probes of one (lambda, row) from whole residual states, as
-    lambda^{-10} <I N(w0) - U0^{-1} I N(U0 w0), delta_{j,0}>."""
+    lambda^{-10} <N(w0) - U0^{-1} N(U0 w0), delta_{j,0}>."""
     w0 = scattering._probe_w0(lam, row)
     n_base, n_shift = (
-        nonlinear_residual(u0, QUINTIC, C0, t_max=t_max, exponent_variant=variant)
+        nonlinear_residual(u0, QUINTIC, C0, t_max=t_max)
         for u0 in (w0, linear_step(w0, C0))
     )
     diff = combine([(1.0, n_base), (-1.0, linear_step_inverse(n_shift, C0))])
@@ -476,7 +450,7 @@ def full_state_pair(lam: float, row: int, t_max: int, variant: str):
 
 
 def extended_pair(lam: float, row: int, t_max: int) -> np.ndarray:
-    """The theorem-variant probes of one (lambda, row) from lone series
+    """The probes of one (lambda, row) from lone series
     summed plainly in np.clongdouble on a fixed window, with the float64
     coin entries, generators and seed taken as exact.  U0^{-1} uses the
     exact inverse of C0: the rounded C0 has C0^H C0 = (1 - 2.2e-16) I, so
@@ -544,19 +518,6 @@ class TestPairingAccuracy:
         pairing = np.array(
             [recovery_probe(QUINTIC, C0, lam, row, j, t_max) for j in (1, 2)]
         )
-        full = full_state_pair(lam, row, t_max, "theorem")
+        full = full_state_pair(lam, row, t_max)
         for got in (pairing, full):
             assert np.max(np.abs(got.astype(np.clongdouble) - ref)) <= 1e-13 * scale
-
-    @pytest.mark.parametrize("row", [1, 2])
-    def test_proof_variant_probes_are_exactly_zero(self, row):
-        # N(w0) lives on even sites and U0^{-1} moves it to odd ones; the
-        # shifted series has the mirror parity, so both pairings with
-        # delta_{j,0} vanish identically on either path
-        lam = 0.2
-        pairing = [
-            recovery_probe(QUINTIC, C0, lam, row, j, 64, "proof") for j in (1, 2)
-        ]
-        full = full_state_pair(lam, row, 64, "proof")
-        assert pairing == [0.0, 0.0]
-        assert np.array_equal(full, [0.0, 0.0])
