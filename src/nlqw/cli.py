@@ -18,6 +18,7 @@ configured checks pass.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import json
 import math
@@ -33,7 +34,6 @@ from .coins import (
     ConstantCoin,
     RotationPowerCoin,
     coin_from_json,
-    linear_part,
 )
 from .evolution import Recorder, evolve, soliton_amplitude
 from .scattering import recovery_ladder, scattering_series
@@ -386,16 +386,13 @@ def _cmd_decay(cfg: dict, out: str) -> dict:
         raise ConfigError(
             f"decay.t_min ({t_min}) must be below decay.t_max ({t_max})"
         )
-    steps = sec.get("steps", t_max)
-    if steps < t_max:
-        raise ConfigError("decay.steps must reach decay.t_max")
     u0, _ = _initial_mass(cfg)
 
     def run_one(run: dict) -> tuple[str, np.ndarray, object]:
         spec = coin_from_json(run["coin"])
-        traj = evolve(u0, spec, steps, Recorder(sup_norm=True))
+        traj = evolve(u0, spec, t_max, Recorder(sup_norm=True))
         series = traj.series["sup_norm"]
-        ts = np.arange(steps + 1)
+        ts = np.arange(t_max + 1)
         fit = decay_fit(ts, series, t_min, t_max)
         return run["label"], series, fit
 
@@ -415,7 +412,7 @@ def _cmd_decay(cfg: dict, out: str) -> dict:
         _write_csv(
             os.path.join(out, csv_name),
             "t,value",
-            (f"{t},{_fmt(float(series[t]))}" for t in range(1, steps + 1)),
+            (f"{t},{_fmt(float(series[t]))}" for t in range(1, t_max + 1)),
         )
         files.append(csv_name)
         fit_name = f"fit_{label}.json"
@@ -451,7 +448,7 @@ def _cmd_decay(cfg: dict, out: str) -> dict:
         plot,
         t_min=t_min,
         t_max=t_max,
-        steps=steps,
+        steps=t_max,
         fits=fits,
     )
 
@@ -518,13 +515,12 @@ def _cmd_weak_limit(cfg: dict, out: str) -> dict:
 
 def _cmd_scatter(cfg: dict, out: str) -> dict:
     spec = _coin_of(cfg)
-    c0 = linear_part(spec)
     sec = cfg["scatter"]
     horizon = sec["horizon"]
     tol = sec["tolerance"]
     u0 = _initial_state(cfg)
 
-    report = scattering_series(u0, spec, c0, horizon, sec.get("defect_times"), tol)
+    report = scattering_series(u0, spec, horizon, sec.get("defect_times"), tol)
     _release_free_heap()
 
     sampled = {int(t): float(d) for t, d in zip(report.defect_times, report.defect_series)}
@@ -560,12 +556,11 @@ def _cmd_scatter(cfg: dict, out: str) -> dict:
 
 def _cmd_recover(cfg: dict, out: str) -> dict:
     spec = _coin_of(cfg)
-    c0 = linear_part(spec)
     sec = cfg["recover"]
     lams = tuple(sec["lambdas"])
     t_max = sec["t_max"]
 
-    report = recovery_ladder(spec, c0, lams, t_max)
+    report = recovery_ladder(spec, lams, t_max)
     _release_free_heap()
 
     rungs = []
@@ -721,15 +716,17 @@ def _release_free_heap() -> None:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     _set_malloc_thresholds()
+    made_out = not os.path.exists(args.out)
     try:
         cfg = _load_config(args.config, args.sets)
         os.makedirs(args.out, exist_ok=True)
         summary = _COMMANDS[args.command](cfg, args.out)
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"nlqw: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        print(f"nlqw: out of memory: {exc}", file=sys.stderr)
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
+        what = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"nlqw: {what}{exc}", file=sys.stderr)
+        if made_out:
+            with contextlib.suppress(OSError):  # one with files in it stays
+                os.rmdir(args.out)
         return 2
     failed = [c["name"] for c in summary["checks"] if not c["passed"]]
     if failed:

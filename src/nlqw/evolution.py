@@ -125,15 +125,21 @@ def linear_step_inverse(u: LatticeState, c0: np.ndarray) -> LatticeState:
     return apply_coin(ConstantCoin(c0.conj().T), inverse_shift(u))
 
 
+def _series_key(name: str, p: float) -> str:
+    return f"{name}_inf" if np.isinf(p) else f"{name}_{p:g}"
+
+
 @dataclass(frozen=True)
 class Recorder:
     """Selects per-step observables captured during evolve().
 
-    lp and weak_lp list the exponents to track (use float('inf') in lp for
-    the sup norm).  threshold records, per step, the sites where the chosen
-    component modulus exceeds gamma.  left_edge captures the amplitude pair
-    at the leftmost window site, which is the light-cone edge for initial
-    data whose window starts at its support.
+    lp and weak_lp list the exponents to track, each at least 1 (use
+    float('inf') in lp for the sup norm; weak_lp exponents are finite), no
+    two of one list giving the same series key.  threshold records, per
+    step, the sites where the chosen component modulus exceeds gamma.
+    left_edge captures the amplitude pair at the leftmost window site,
+    which is the light-cone edge for initial data whose window starts at
+    its support.
     """
 
     sup_norm: bool = False
@@ -150,6 +156,16 @@ class Recorder:
             raise ValueError("threshold gamma must be positive")
         if self.threshold_component not in (1, 2):
             raise ValueError("threshold_component must be 1 or 2")
+        if not all(p >= 1 for p in self.lp):
+            raise ValueError(f"lp exponents must be at least 1, got {list(self.lp)}")
+        if not all(1 <= p < np.inf for p in self.weak_lp):
+            raise ValueError(
+                f"weak_lp exponents must lie in [1, inf), got {list(self.weak_lp)}"
+            )
+        for name, ps in (("lp", self.lp), ("weak_lp", self.weak_lp)):
+            keys = [_series_key(name, p) for p in ps]
+            if len(set(keys)) < len(keys):
+                raise ValueError(f"{name} exponents give repeated series keys {keys}")
 
 
 @dataclass
@@ -167,10 +183,6 @@ class Trajectory:
     series: dict[str, np.ndarray] = field(default_factory=dict)
     threshold_trace: list[tuple[int, np.ndarray]] = field(default_factory=list)
     snapshots: dict[int, LatticeState] = field(default_factory=dict)
-
-
-def _lp_key(p: float) -> str:
-    return "lp_inf" if np.isinf(p) else f"lp_{p:g}"
 
 
 def _non_finite(kern, a1, a2, site0: int, runs: int, step: int) -> str:
@@ -289,16 +301,16 @@ class _Recording:
     def __init__(self, u0: LatticeState, rec: Recorder) -> None:
         self.u0, self.rec = u0, rec
         self.need_site_norms = bool(rec.sup_norm or rec.lp or rec.weak_lp or rec.argmax)
-        # series (key, exponent) in the order they are stored: a repeated
-        # exponent shares a list, and of equal keys the last one stored wins
-        self.order = (
-            [("sup_norm", None)] * rec.sup_norm
-            + [(_lp_key(p), p) for p in rec.lp]
-            + [(f"weak_lp_{p:g}", p) for p in rec.weak_lp]
-            + [("argmax", None)] * rec.argmax
-            + [("edge_comp1", None), ("edge_comp2", None)] * rec.left_edge
+        # (series key, exponent) pairs; the Recorder keeps the keys distinct
+        self.lp = [(_series_key("lp", p), p) for p in rec.lp]
+        self.weak_lp = [(_series_key("weak_lp", p), p) for p in rec.weak_lp]
+        keys = (
+            ["sup_norm"] * rec.sup_norm
+            + [k for k, _ in self.lp + self.weak_lp]
+            + ["argmax"] * rec.argmax
+            + ["edge_comp1", "edge_comp2"] * rec.left_edge
         )
-        self.values: dict[tuple[str, float | None], list] = {k: [] for k in self.order}
+        self.values: dict[str, list] = {k: [] for k in keys}
         self.threshold_trace: list[tuple[int, np.ndarray]] = []
 
     def begin(self, u1, u2, base: int, lo: int, hi: int) -> None:
@@ -309,16 +321,13 @@ class _Recording:
         if self.need_site_norms:
             norms = _site_norms(a1, a2)
             if rec.sup_norm:
-                v["sup_norm", None].append(float(norms.max()))
-            for p in rec.lp:
-                if np.isinf(p):
-                    v[_lp_key(p), p].append(float(norms.max()))
-                else:
-                    v[_lp_key(p), p].append(lp_of_norms(norms, p))
-            for p in rec.weak_lp:
-                v[f"weak_lp_{p:g}", p].append(weak_lp_of_norms(norms, p))
+                v["sup_norm"].append(float(norms.max()))
+            for key, p in self.lp:
+                v[key].append(float(norms.max()) if np.isinf(p) else lp_of_norms(norms, p))
+            for key, p in self.weak_lp:
+                v[key].append(weak_lp_of_norms(norms, p))
             if rec.argmax:
-                v["argmax", None].append(self.base + lo + int(np.argmax(norms)))
+                v["argmax"].append(self.base + lo + int(np.argmax(norms)))
         if rec.threshold is not None:
             comp = a1 if rec.threshold_component == 1 else a2
             mags = np.abs(comp)
@@ -326,8 +335,8 @@ class _Recording:
                 (t, self.base + lo + np.flatnonzero(mags > rec.threshold))
             )
         if rec.left_edge:
-            v["edge_comp1", None].append(complex(a1[0]))
-            v["edge_comp2", None].append(complex(a2[0]))
+            v["edge_comp1"].append(complex(a1[0]))
+            v["edge_comp2"].append(complex(a2[0]))
 
     def observe(self, t, lo, hi, a1, a2, w1, w2) -> bool:
         self._capture(t, lo, a1, a2)
@@ -342,9 +351,9 @@ class _Recording:
             steps=t,
             threshold_trace=self.threshold_trace,
         )
-        for key, p in self.order:
+        for key, values in self.values.items():
             dtype = np.int64 if key == "argmax" else None
-            traj.series[key] = np.asarray(self.values[key, p], dtype=dtype)
+            traj.series[key] = np.asarray(values, dtype=dtype)
         return traj
 
 
@@ -406,30 +415,27 @@ def _left_edge_series(u0: LatticeState, spec: CoinSpec, steps: int) -> tuple[np.
     return traj.series["edge_comp1"], traj.series["edge_comp2"]
 
 
-def _require_stationary_branch(a: float, spec: RotationPowerCoin) -> None:
-    """Refuse edge parameters off the stationary branch: a rotation_power
-    coin with g < 0 and theta0 = pi/4, and pi/4 + g a^(2p) = 0."""
+def _stationary_amplitude(spec: RotationPowerCoin) -> float:
+    """Edge amplitude a, pi/4 + g a^(2p) = 0, of a stationary-branch coin:
+    rotation_power with g < 0 and theta0 = pi/4; other coins are refused."""
     if not isinstance(spec, RotationPowerCoin):
         raise ValueError("edge tracking is defined for the rotation_power family")
     if not (spec.g < 0):
         raise ValueError("stationary edge branch needs g < 0")
-    if abs(np.pi / 4.0 + spec.g * a ** (2 * spec.p)) > 1e-9:
-        raise ValueError("amplitude a is not on the stationary edge branch")
     if abs(spec.theta0 - np.pi / 4.0) > 1e-12:
         raise ValueError("stationary edge branch needs theta0 = pi/4")
+    return soliton_amplitude(spec.g, spec.p)
 
 
-def instability_trace(
-    a: float, eps: float, spec: RotationPowerCoin, steps: int
-) -> np.ndarray:
+def instability_trace(eps: float, spec: RotationPowerCoin, steps: int) -> np.ndarray:
     """Light-cone edge norms ||u(t, -t)|| for u(0) = a(1 - eps) delta_{1,0}.
 
-    Requires the stationary-edge branch: theta0 = pi/4 and g < 0 with
-    pi/4 + g a^(2p) = 0.  The second edge component vanishes identically,
-    so the returned series is |u1(t, -t)| and obeys the scalar recursion
-    x_{t+1} = |cos(pi/4 + g x_t^(2p))| x_t.
+    Requires the stationary-edge branch: theta0 = pi/4 and g < 0, with a
+    from pi/4 + g a^(2p) = 0.  The second edge component vanishes
+    identically, so the returned series is |u1(t, -t)| and obeys the scalar
+    recursion x_{t+1} = |cos(pi/4 + g x_t^(2p))| x_t.
     """
-    _require_stationary_branch(a, spec)
+    a = _stationary_amplitude(spec)
     u0 = LatticeState(0, np.array([[a * (1.0 - eps), 0.0]], dtype=np.complex128))
     e1, e2 = _left_edge_series(u0, spec, steps)
     return np.sqrt(np.abs(e1) ** 2 + np.abs(e2) ** 2)
@@ -437,18 +443,17 @@ def instability_trace(
 
 def edge_recovery_trace(
     eps: float,
-    a: float,
     spec: RotationPowerCoin,
     steps: int,
     right_tail: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Deviation ||u(t, -t) - (a, 0)|| for data (1 + eps) a at the origin.
+    """Deviation ||u(t, -t) - (a, 0)|| for data (1 + eps) a at the origin,
+    a the edge amplitude of the stationary branch, which is required.
 
-    right_tail, if given, places arbitrary (n, 2) amplitudes on sites
-    1..n; they never reach the left light-cone edge, so the trace depends
-    only on the origin value.  Requires the stationary edge branch.
-    """
-    _require_stationary_branch(a, spec)
+    right_tail, if given, places arbitrary (n, 2) amplitudes on sites 1..n;
+    they never reach the left light-cone edge, so the trace depends only on
+    the origin value."""
+    a = _stationary_amplitude(spec)
     rows = [[a * (1.0 + eps), 0.0]]
     if right_tail is not None:
         tail = np.asarray(right_tail, dtype=np.complex128)

@@ -30,7 +30,6 @@ from .coins import (
     linear_part,
     matrix_kernel,
     nonlinear_partial_derivatives,
-    require_unitary,
 )
 from .evolution import (
     Recorder,
@@ -62,14 +61,31 @@ class NonConvergenceError(RuntimeError):
     """Raised when a series fails its stopping rule within the horizon."""
 
 
-def _series_args(spec: CoinSpec, c0: np.ndarray, t_max: int) -> np.ndarray:
-    """Checks shared by the series: returns c0 as a unitary array."""
+def _series_args(spec: CoinSpec, t_max: int) -> np.ndarray:
+    """Check shared by the series; returns the coin's linear part C0."""
     if t_max < 1:
         raise ValueError("t_max must be positive")
-    c0 = require_unitary(c0, "c0")
-    if np.max(np.abs(linear_part(spec) - c0)) > 1e-12:
-        raise ValueError("c0 must equal the linear part of the coin spec")
-    return c0
+    return linear_part(spec)
+
+
+def _coin_defect(c0, a1, a2, w1, w2, e1, e2, tmp) -> None:
+    """Series term e_t = (C(u) - C0) u into (e1, e2), from u = (a1, a2) and
+    its coin output w = C(u) u, with tmp as scratch.  Taken in the coin
+    output frame: when the coin has no intensity-dependent part, C0 u
+    repeats every operation of C(u) u, so e_t is exactly zero."""
+    for e, w, (ma, mb) in zip((e1, e2), (w1, w2), c0):
+        np.multiply(ma, a1, out=e)
+        np.multiply(mb, a2, out=tmp)
+        np.add(e, tmp, out=e)
+        np.subtract(w, e, out=e)
+
+
+def _kahan_add(total: np.ndarray, carry: np.ndarray, x: np.ndarray) -> None:
+    """total += x in place, compensated by the Kahan carry, also in place."""
+    y = x - carry
+    s = total + y
+    carry[...] = (s - total) - y
+    total[...] = s
 
 
 class _Residuals:
@@ -85,6 +101,7 @@ class _Residuals:
     """
 
     def __init__(self, c0: np.ndarray, t_max: int, tol: float) -> None:
+        self.c0 = c0
         self.coin = matrix_kernel(c0)
         self.coin_inverse = matrix_kernel(c0.conj().T)
         self.tol = tol
@@ -101,20 +118,14 @@ class _Residuals:
 
     def observe(self, t, lo, hi, a1, a2, w1, w2) -> bool:
         g1, g2, k1, k2 = self.g1, self.g2, self.k1, self.k2
-        # series term d_t = C0^{-1} (C(u) - C0) u, with the difference taken
-        # in the coin output frame: when the coin has no intensity-dependent
-        # part the two multiplications share every operation, so the defect
-        # is exactly zero rather than rounding noise
-        b1, b2 = self.coin(a1, a2)
-        d1, d2 = self.coin_inverse(w1 - b1, w2 - b2)
+        # series term d_t = C0^{-1} e_t
+        e1, e2, tmp = (np.empty_like(a1) for _ in range(3))
+        _coin_defect(self.c0, a1, a2, w1, w2, e1, e2, tmp)
+        d1, d2 = self.coin_inverse(e1, e2)
         q = d1.real**2 + d1.imag**2 + d2.real**2 + d2.imag**2
         self.tails.append(np.sqrt(q.sum()))
-        # Kahan add of d_t into the forward-frame accumulator
-        for d, g, k in ((d1, g1, k1), (d2, g2, k2)):
-            y = d - k[lo:hi]
-            total = g[lo:hi] + y
-            k[lo:hi] = (total - g[lo:hi]) - y
-            g[lo:hi] = total
+        _kahan_add(g1[lo:hi], k1[lo:hi], d1)
+        _kahan_add(g2[lo:hi], k2[lo:hi], d2)
         # one linear step of accumulator and carry: G <- U0 G, K <- U0 K
         for z1, z2 in ((g1, g2), (k1, k2)):
             shift_into(z1, z2, *self.coin(z1[lo:hi], z2[lo:hi]), lo, hi)
@@ -195,21 +206,12 @@ class _Pairings:
 
     def observe(self, t, lo, hi, a1, a2, w1, w2) -> bool:
         a1, a2, w1, w2 = (x.reshape(hi - lo, -1) for x in (a1, a2, w1, w2))
-        e1, e2, tmp = self.e[0, lo:hi], self.e[1, lo:hi], self.tmp[lo:hi]
-        # e_t = (C(u) - C0) u in the coin output frame, as _Residuals takes it
-        for e, w, (ma, mb) in zip((e1, e2), (w1, w2), self.c0):
-            np.multiply(ma, a1, out=e)
-            np.multiply(mb, a2, out=tmp)
-            np.add(e, tmp, out=e)
-            np.subtract(w, e, out=e)
+        e1, e2 = self.e[0, lo:hi], self.e[1, lo:hi]
+        _coin_defect(self.c0, a1, a2, w1, w2, e1, e2, self.tmp[lo:hi])
         self._step_chi()  # leaves chi's coin stage conj(C0 psi_t) in stage
         pair = np.einsum("xr,xj->jr", e1, self.stage[0, lo:hi])
         pair += np.einsum("xr,xj->jr", e2, self.stage[1, lo:hi])
-        # scalar Kahan add of this step's pairings
-        y = pair - self.carry
-        s = self.sum + y
-        self.carry = (s - self.sum) - y
-        self.sum = s
+        _kahan_add(self.sum, self.carry, pair)
         return False
 
     def finish(self, t: int, lo: int, hi: int) -> np.ndarray:
@@ -224,12 +226,12 @@ _BATCH_SITES = 8192
 
 
 def _lockstep_pairings(
-    seeds: list[LatticeState], spec: CoinSpec, c0: np.ndarray, t_max: int, k: int
+    seeds: list[LatticeState], spec: CoinSpec, t_max: int, k: int
 ) -> np.ndarray:
     """(2, runs) pairings <N, U0^k delta_{j,0}> of full-horizon series from
     seeds sharing origin and window length, run in equal lockstep chunks
     within the _BATCH_SITES budget."""
-    c0 = _series_args(spec, c0, t_max)
+    c0 = _series_args(spec, t_max)
     kern = coin_kernel(spec)
     width = max(1, _BATCH_SITES // (len(seeds[0]) + 2 * t_max))
     chunks = -(-len(seeds) // width)
@@ -246,7 +248,6 @@ def _lockstep_pairings(
 def nonlinear_residual(
     u0: LatticeState,
     spec: CoinSpec,
-    c0: np.ndarray,
     tol: float = 0.0,
     t_max: int = 2048,
 ) -> LatticeState:
@@ -255,7 +256,7 @@ def nonlinear_residual(
     Never computed as a difference of near-equal states: each term is built
     pointwise from the intensity factor and added into the running frame.
     """
-    c0 = _series_args(spec, c0, t_max)
+    c0 = _series_args(spec, t_max)
     (residual, _), _ = walk([u0], coin_kernel(spec), t_max, _Residuals(c0, t_max, tol))
     return residual
 
@@ -263,13 +264,12 @@ def nonlinear_residual(
 def wave_operator(
     u0: LatticeState,
     spec: CoinSpec,
-    c0: np.ndarray,
     tol: float = 1e-7,
     t_max: int = 4096,
 ) -> LatticeState:
     """Asymptotic profile W* u0 = u0 + (series), sharing the accumulation
     path of nonlinear_residual bit for bit."""
-    res = nonlinear_residual(u0, spec, c0, tol, t_max)
+    res = nonlinear_residual(u0, spec, tol, t_max)
     return combine([(1.0, u0), (1.0, res)])
 
 
@@ -305,7 +305,6 @@ def _default_defect_times(horizon: int) -> np.ndarray:
 def scattering_series(
     u0: LatticeState,
     spec: CoinSpec,
-    c0: np.ndarray,
     horizon: int,
     defect_times: np.ndarray | None = None,
     tol: float = 1e-5,
@@ -320,7 +319,7 @@ def scattering_series(
     if times.size and (times[0] < 1 or times[-1] > horizon):
         raise ValueError("defect times must lie in [1, horizon]")
     sampled = tuple(int(t) for t in times)
-    c0 = _series_args(spec, c0, horizon)
+    c0 = _series_args(spec, horizon)
     (residual, tail_norms), (states,) = walk(
         [u0], coin_kernel(spec), horizon, _Residuals(c0, horizon, 0.0), sampled
     )
@@ -385,7 +384,6 @@ def _probe_w0(lam: float, row: int) -> LatticeState:
 
 def _probe_pairs(
     spec: CoinSpec,
-    c0: np.ndarray,
     keys: list[tuple[float, int]],
     t_max: int,
 ) -> dict[tuple[float, int], tuple[complex, complex]]:
@@ -402,9 +400,10 @@ def _probe_pairs(
     """
     # <N_base - U0^{-1} N_shift, delta> = <N_base, delta> - <N_shift, U0 delta>
     seeds = [_probe_w0(lam, row) for lam, row in keys]
-    bases = _lockstep_pairings(seeds, spec, c0, t_max, 0)
+    bases = _lockstep_pairings(seeds, spec, t_max, 0)
+    c0 = linear_part(spec)
     shifted = [linear_step(w0, c0) for w0 in seeds]
-    shifts = _lockstep_pairings(shifted, spec, c0, t_max, 1)
+    shifts = _lockstep_pairings(shifted, spec, t_max, 1)
     diff = bases - shifts
     out = {}
     for r, key in enumerate(keys):
@@ -423,7 +422,6 @@ def _check_probe_args(spec: CoinSpec, lam: float, row: int, j: int) -> None:
 
 def recovery_probe(
     spec: CoinSpec,
-    c0: np.ndarray,
     lam: float,
     row: int,
     j: int,
@@ -433,7 +431,7 @@ def recovery_probe(
     <(W* - U0^{-1} W* U0) w0, delta_{j,0}> with w0 the row-specific
     two-site seed lambda^2 delta_1 + lambda^3 delta_2 (rows swapped for 2)."""
     _check_probe_args(spec, lam, row, j)
-    pairs = _probe_pairs(spec, c0, [(lam, row)], t_max)
+    pairs = _probe_pairs(spec, [(lam, row)], t_max)
     return pairs[(lam, row)][j - 1]
 
 
@@ -484,7 +482,6 @@ def _assemble(
 
 def _rung_probes(
     spec: CoinSpec,
-    c0: np.ndarray,
     lams: tuple[float, ...],
     t_max: int,
 ) -> dict[tuple[float, int], tuple[complex, complex]]:
@@ -496,7 +493,7 @@ def _rung_probes(
             raise ValueError("need 2*lambda within the probe domain")
     amps = dict.fromkeys(x for lam in lams for x in (lam, 2.0 * lam))
     keys = [(x, row) for x in amps for row in (1, 2)]
-    return _probe_pairs(spec, c0, keys, t_max)
+    return _probe_pairs(spec, keys, t_max)
 
 
 def _rung(
@@ -525,13 +522,12 @@ def _rung(
 
 def recover_derivatives(
     spec: CoinSpec,
-    c0: np.ndarray,
     lam: float,
     t_max: int = 2048,
 ) -> RecoveryResult:
     """Estimate both partial derivatives of the squared-intensity factor at
     zero from probes at lambda and 2 lambda; errors are O(lambda^3)."""
-    probes = _rung_probes(spec, c0, (lam,), t_max)
+    probes = _rung_probes(spec, (lam,), t_max)
     return _rung(spec, lam, probes)
 
 
@@ -552,7 +548,6 @@ class RecoveryReport:
 
 def recovery_ladder(
     spec: CoinSpec,
-    c0: np.ndarray,
     lams: tuple[float, ...] = (0.2, 0.1, 0.05),
     t_max: int = 2048,
 ) -> RecoveryReport:
@@ -570,7 +565,7 @@ def recovery_ladder(
         raise ValueError("ladder needs at least two rungs")
     if len(set(lams)) < len(lams):
         raise ValueError(f"ladder rungs must be distinct, got {list(lams)}")
-    probes = _rung_probes(spec, c0, lams, t_max)
+    probes = _rung_probes(spec, lams, t_max)
     results = [_rung(spec, lam, probes) for lam in lams]
     errs = np.asarray([r.error for r in results])
     if np.all(errs > 0):

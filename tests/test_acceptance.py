@@ -162,7 +162,7 @@ def test_criterion_04_exact_solutions(report):
     u0 = scaled(delta_state(1, 0), a4)
     period_err = l2_distance(evolve(u0, spec4, 400).final, u0)
 
-    trace = instability_trace(a, 0.1, spec, 1000)
+    trace = instability_trace(0.1, spec, 1000)
     unstable_ok = bool(np.all(np.diff(trace) < 0)) and trace[-1] < 1e-6
 
     ok = soliton_err <= 1e-12 and period_err <= 1e-10 and unstable_ok
@@ -227,7 +227,7 @@ def test_criterion_06_weak_limit(report):
 def test_criterion_07_scattering(report):
     quintic = ComposedCoin(C0, QuinticExponentialCoin(0.3 * SIGMA_X, 0.2 * SIGMA_Z))
     series_report = scattering_series(
-        scaled(delta_state(1, 0), 0.1), quintic, C0, 1024, defect_times=(100, 1000)
+        scaled(delta_state(1, 0), 0.1), quintic, 1024, defect_times=(100, 1000)
     )
     tails = series_report.tail_norms
     block_maxima = [
@@ -244,7 +244,7 @@ def test_criterion_07_scattering(report):
     norms, resids = [], []
     for c in (0.1, 0.05, 0.025):
         u0 = scaled(delta_state(1, 0), c)
-        res = nonlinear_residual(u0, quintic, C0, t_max=512)
+        res = nonlinear_residual(u0, quintic, t_max=512)
         norms.append(float(lp_norm(u0, 2.0)))
         resids.append(float(lp_norm(res, 2.0)))
     exponent = float(np.polyfit(np.log10(norms), np.log10(resids), 1)[0])
@@ -272,7 +272,7 @@ def test_criterion_08_inverse_scattering(report):
     for name, (a1, a2) in pairs.items():
         spec = ComposedCoin(C0, QuinticExponentialCoin(a1, a2))
         t0 = time.perf_counter()
-        rep = recovery_ladder(spec, C0, lams=(0.2, 0.1, 0.05), t_max=2048)
+        rep = recovery_ladder(spec, lams=(0.2, 0.1, 0.05), t_max=2048)
         elapsed = time.perf_counter() - t0
         ratio = rep.errors[0] / rep.errors[1]
         good = rep.fitted_order >= 2.5 and 4.0 <= ratio <= 16.0 and elapsed < 120.0
@@ -282,7 +282,7 @@ def test_criterion_08_inverse_scattering(report):
         )
 
     zero = ComposedCoin(C0, QuinticExponentialCoin(np.zeros((2, 2)), np.zeros((2, 2))))
-    zrep = recovery_ladder(zero, C0, lams=(0.2, 0.1), t_max=128)
+    zrep = recovery_ladder(zero, lams=(0.2, 0.1), t_max=128)
     zero_ok = np.array_equal(zrep.errors, [0.0, 0.0]) and zrep.fitted_order == np.inf
     ok = ok and zero_ok
     details.append(f"zero pair exact: {zero_ok}")

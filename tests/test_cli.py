@@ -173,6 +173,14 @@ class TestConfigValidation:
         assert code == 2
         assert err == "nlqw: out of memory: Unable to allocate 1.5 TiB for an array\n"
 
+    def test_refusal_keeps_an_existing_out_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = {"schema_version": 1, "initial": {"kind": "delta", "scale": 0}}
+        code, _, _ = run("decay", tmp_path, cfg)
+        assert code == 2
+        assert out.is_dir()
+
     def test_decay_without_its_section(self, tmp_path, capsys):
         cfg = {"schema_version": 1, "initial": {"kind": "delta", "component": 1}}
         code, _, _ = run("decay", tmp_path, cfg)
@@ -258,6 +266,26 @@ class TestSimulate:
         assert code == 2
         assert summary is None
         assert "snapshot time 70" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "assignment, message",
+        [
+            ("record.lp=[2,2]", "at record/lp: [2, 2] has non-unique elements"),
+            ("record.lp=[0.5]", "at record/lp/0: 0.5 is less than the minimum of 1"),
+            ("record.weak_lp=[0.5]", "at record/weak_lp/0: 0.5 is less than the minimum of 1"),
+            ("record.lp=[2,2.0000001]", "repeated series keys ['lp_2', 'lp_2']"),
+            ("record.weak_lp=[4,4.0000001]", "repeated series keys ['weak_lp_4', 'weak_lp_4']"),
+        ],
+        ids=["lp-repeated", "lp-below-1", "weak-below-1", "lp-same-key", "weak-same-key"],
+    )
+    def test_exponents_that_cannot_be_keyed_are_rejected_before_any_walk(
+        self, tmp_path, capsys, monkeypatch, assignment, message
+    ):
+        monkeypatch.setattr(cli, "evolve", no_walk)
+        code, out, _ = run("simulate", tmp_path, self.soliton_cfg(), "--set", assignment)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_set_flag_overrides_the_file(self, tmp_path):
         code, _, summary = run(
@@ -405,7 +433,6 @@ class TestDecay:
         cfg = {
             "schema_version": 1,
             "decay": {
-                "steps": 3000,
                 "t_min": 300,
                 "t_max": 3000,
                 "runs": [
@@ -432,7 +459,6 @@ class TestDecay:
         cfg = {
             "schema_version": 1,
             "decay": {
-                "steps": 50,
                 "t_min": 10,
                 "t_max": 50,
                 "runs": [run_spec, dict(run_spec)],
@@ -442,19 +468,24 @@ class TestDecay:
         assert code == 2
         assert "unique" in capsys.readouterr().err
 
-    def test_window_must_fit_inside_the_run(self, tmp_path, capsys):
+    def test_removed_steps_key_is_rejected(self, tmp_path, capsys, monkeypatch):
+        # a decay run is t_max steps long
+        monkeypatch.setattr(cli, "evolve", no_walk)
         cfg = {
             "schema_version": 1,
             "decay": {
-                "steps": 40,
+                "steps": 50,
                 "t_min": 10,
                 "t_max": 50,
                 "runs": [{"label": "x", "coin": HADAMARD_COIN}],
             },
         }
-        code, _, _ = run("decay", tmp_path, cfg)
+        code, out, _ = run("decay", tmp_path, cfg)
         assert code == 2
-        assert "t_max" in capsys.readouterr().err
+        assert "at decay: Additional properties are not allowed ('steps' was unexpected)" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("t_min, t_max", [(20000, 8000), (3000, 3000)])
     def test_empty_fit_window_is_rejected_before_any_walk(
@@ -475,6 +506,7 @@ class TestDecay:
             f"nlqw: decay.t_min ({t_min}) must be below decay.t_max ({t_max})\n"
         )
         assert summary is None
+        assert not out.exists()
 
     def test_zero_state_is_rejected_before_any_walk(
         self, tmp_path, capsys, monkeypatch
@@ -489,10 +521,11 @@ class TestDecay:
                 "runs": [{"label": "x", "coin": HADAMARD_COIN}],
             },
         }
-        code, _, summary = run("decay", tmp_path, cfg)
+        code, out, summary = run("decay", tmp_path, cfg)
         assert code == 2
         assert "nlqw: initial: " in capsys.readouterr().err
         assert summary is None
+        assert not out.exists()
 
 
 class TestWeakLimit:
@@ -587,12 +620,13 @@ class TestWeakLimit:
             packet = tmp_path / "packet.csv"
             packet.write_text("x,re_u1,im_u1,re_u2,im_u2\n0,0,0,0,0\n1,0,0,0,0\n")
             cfg["initial"] = {"kind": "csv", "path": str(packet)}
-        code, _, summary = run("weak-limit", tmp_path, cfg)
+        code, out, summary = run("weak-limit", tmp_path, cfg)
         assert code == 2
         assert capsys.readouterr().err == (
             "nlqw: initial: the initial state has zero l2 norm\n"
         )
         assert summary is None
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "text, line, reason",
@@ -616,7 +650,7 @@ class TestWeakLimit:
         code, out, _ = run("weak-limit", tmp_path, cfg)
         assert code == 2
         assert capsys.readouterr().err.startswith(f"nlqw: {packet}:{line}: {reason}")
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_needs_a_constant_coin(self, tmp_path, capsys):
         cfg = self.cfg()
@@ -723,7 +757,7 @@ class TestRecover:
             "nlqw: squared-intensity derivatives exist only for the quintic "
             "exponential family\n"
         )
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("lambdas", ["[0.5,0.25]", "[0.2]"])
     def test_rejects_ladders_the_probes_cannot_run(self, tmp_path, capsys, lambdas):
@@ -885,6 +919,8 @@ BAD_CONFIGS = [
     {"schema_version": 1, "initial": {"kind": "delta", "component": True}},
     {"schema_version": 1, "coin": HADAMARD_COIN, "record": {"lp": [-2.0]}},
     {"schema_version": 1, "record": {"lp": [0]}},
+    {"schema_version": 1, "record": {"lp": [0.5], "weak_lp": [2, 2.0]}},
+    {"schema_version": 1, "decay": {"steps": 10, "runs": []}},
     {"schema_version": 1, "steps": True},
     {"schema_version": 1, "steps": -1},
     {"schema_version": 1, "steps": -1.5},

@@ -1,5 +1,6 @@
 """Shift, walk steps, trajectories, and the traveling-edge protocols."""
 
+import re
 import warnings
 
 import numpy as np
@@ -217,6 +218,32 @@ class TestEvolve:
         with pytest.raises(ValueError, match="snapshot time 8 "):
             evolve(delta_state(1, 0), GaltonCoin(0.3), 7, Recorder(snapshot_times=(0, 8)))
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"lp": (0.5,)}, "lp exponents must be at least 1, got [0.5]"),
+            ({"lp": (float("nan"),)}, "lp exponents must be at least 1, got [nan]"),
+            ({"weak_lp": (0.5,)}, "weak_lp exponents must lie in [1, inf), got [0.5]"),
+            ({"weak_lp": (np.inf,)}, "weak_lp exponents must lie in [1, inf), got [inf]"),
+            ({"lp": (2.0, 2.0)}, "lp exponents give repeated series keys ['lp_2', 'lp_2']"),
+            ({"lp": (2.0, 2.0000001)}, "lp exponents give repeated series keys"),
+            ({"weak_lp": (4.0, 4.0)}, "weak_lp exponents give repeated series keys"),
+        ],
+        ids=[
+            "lp-below-1", "lp-nan", "weak-below-1", "weak-inf",
+            "lp-repeated", "lp-same-key", "weak-repeated",
+        ],
+    )
+    def test_recorder_refuses_exponents_it_cannot_key(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Recorder(**kwargs)
+
+    def test_lp_and_weak_lp_exponents_may_coincide(self):
+        rec = Recorder(lp=(1.0, 2.0, np.inf), weak_lp=(1.0, 2.0))
+        traj = evolve(delta_state(1, 0), soliton_spec(), 3, rec)
+        assert list(traj.series) == ["lp_1", "lp_2", "lp_inf", "weak_lp_1", "weak_lp_2"]
+        assert all(len(v) == 4 for v in traj.series.values())
+
     def test_threshold_trace_per_step(self):
         spec = soliton_spec()
         a = soliton_amplitude(spec.g, spec.p)
@@ -307,13 +334,12 @@ class TestInstabilityTrace:
     def test_unperturbed_edge_is_constant(self):
         spec = soliton_spec()
         a = soliton_amplitude(spec.g, spec.p)
-        series = instability_trace(a, 0.0, spec, 200)
+        series = instability_trace(0.0, spec, 200)
         assert np.max(np.abs(series - a)) <= 1e-12
 
     def test_perturbed_edge_decays_strictly(self):
         spec = soliton_spec()
-        a = soliton_amplitude(spec.g, spec.p)
-        series = instability_trace(a, 0.1, spec, 500)
+        series = instability_trace(0.1, spec, 500)
         assert np.all(np.diff(series) < 0)
         ratios = series[2:] / series[1:-1]
         assert np.max(ratios) < 1.0
@@ -327,16 +353,15 @@ class TestInstabilityTrace:
         assert np.max(np.abs(traj.series["edge_comp2"])) == 0.0
 
     def test_rejects_off_branch_parameters(self):
-        spec = soliton_spec()
-        with pytest.raises(ValueError):
-            instability_trace(0.5, 0.1, spec, 10)
+        # g > 0 has the period-4 branch, not a stationary edge
+        with pytest.raises(ValueError, match="g < 0"):
+            instability_trace(0.1, RotationPowerCoin(np.pi / 4.0, 0.8, 1), 10)
 
 
 class TestEdgeRecoveryTrace:
     def test_unperturbed_deviation_is_zero(self):
         spec = soliton_spec()
-        a = soliton_amplitude(spec.g, spec.p)
-        series = edge_recovery_trace(0.0, a, spec, 100)
+        series = edge_recovery_trace(0.0, spec, 100)
         assert np.max(series) <= 1e-13
 
     def test_matches_scalar_recursion(self):
@@ -344,7 +369,7 @@ class TestEdgeRecoveryTrace:
         a = soliton_amplitude(spec.g, spec.p)
         eps = 0.05
         steps = 500
-        series = edge_recovery_trace(eps, a, spec, steps)
+        series = edge_recovery_trace(eps, spec, steps)
         x = (1.0 + eps) * a
         oracle = [abs(x - a)]
         for _ in range(steps):
@@ -358,19 +383,17 @@ class TestEdgeRecoveryTrace:
         assert np.all(np.diff(series[1:]) <= 0)
 
     def test_rejects_theta0_off_the_stationary_branch(self):
-        # pi/4 + g a^(2p) = 0 holds, but the branch assumes theta0 = pi/4
-        a = soliton_amplitude(-0.8, 1)
+        # g < 0, but the branch assumes theta0 = pi/4
         with pytest.raises(ValueError, match="theta0"):
-            edge_recovery_trace(0.0, a, RotationPowerCoin(0.3, -0.8, 1), 5)
+            edge_recovery_trace(0.0, RotationPowerCoin(0.3, -0.8, 1), 5)
         with pytest.raises(ValueError, match="theta0"):
-            instability_trace(a, 0.0, RotationPowerCoin(0.3, -0.8, 1), 5)
+            instability_trace(0.0, RotationPowerCoin(0.3, -0.8, 1), 5)
 
     def test_right_tail_never_reaches_the_edge(self):
         spec = soliton_spec()
-        a = soliton_amplitude(spec.g, spec.p)
         tail = np.array([[0.3, 0.1j], [0.0, 0.2]], dtype=np.complex128)
-        plain = edge_recovery_trace(0.05, a, spec, 80)
-        noisy = edge_recovery_trace(0.05, a, spec, 80, right_tail=tail)
+        plain = edge_recovery_trace(0.05, spec, 80)
+        noisy = edge_recovery_trace(0.05, spec, 80, right_tail=tail)
         assert np.array_equal(plain, noisy)
 
 
