@@ -9,6 +9,16 @@ number is still held to the numeric bounds), and oneOf counts exact
 matches.  A schema that uses any other keyword is refused when loaded,
 and so is a default that fails its own subschema.  Schema.resolve fills a
 validated config's defaults and gives each number its schema's type.
+
+When an object matches no branch of a oneOf whose branches each fix some
+properties by const (a coin's "family", an initial state's "kind"), the
+message goes on to name what is wrong: the errors of the one branch those
+properties select, or the values they may take when they select none.  The
+error's path stays the oneOf's own, as jsonschema reports it.
+
+validated(config) is the one entry point for a config, or a piece of one
+such as {"coin": ...}: it refuses non-finite numbers, then schema
+violations, each by path, and returns the resolved config.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ import functools
 import json
 import os
 import re
+import sys
 
 _ANNOTATIONS = frozenset({"$schema", "$id", "title", "description", "$defs", "default"})
 _APPLICATORS = frozenset(
@@ -46,6 +57,16 @@ def _equal(a, b) -> bool:
     if isinstance(a, dict) and isinstance(b, dict):
         return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
     return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _where(path: tuple) -> str:
+    return "/".join(str(k) for k in path) or "(root)"
+
+
+def _consts(branch: dict) -> dict:
+    """The properties a oneOf branch fixes by const, with their values."""
+    props = branch.get("properties", {})
+    return {name: sub["const"] for name, sub in props.items() if "const" in sub}
 
 
 def _repeats(x: list) -> bool:
@@ -147,6 +168,27 @@ class Schema:
             return out
         return x
 
+    def _no_match_detail(self, branches: list, x, path: tuple) -> str:
+        """What a oneOf failure adds when its branches are told apart by
+        const properties and x is an object: the selected branch's own
+        errors, or the allowed values when no branch is selected."""
+        consts = [_consts(b) for b in branches]
+        if not (isinstance(x, dict) and all(consts)):
+            return ""
+        chosen = [
+            b for b, c in zip(branches, consts)
+            if all(k in x and _equal(x[k], v) for k, v in c.items())
+        ]
+        if len(chosen) == 1:
+            errors = sorted(self._walk(chosen[0], x, path), key=lambda e: e[0])
+            return "".join(f"; at {_where(p)}: {m}" for p, m in errors)
+        if chosen:
+            return ""
+        names = dict.fromkeys(k for c in consts for k in c)
+        return "".join(
+            f"; {k!r} must be one of {[c[k] for c in consts if k in c]!r}" for k in names
+        )
+
     def _walk(self, node: dict, x, path: tuple):
         for key, arg in node.items():
             if key in _CHECKS:
@@ -159,7 +201,8 @@ class Schema:
                 matches = sum(not any(self._walk(sub, x, path)) for sub in arg)
                 if matches != 1:
                     how = "valid under several" if matches else "not valid under any"
-                    yield path, f"{x!r} is {how} of the given schemas"
+                    detail = "" if matches else self._no_match_detail(arg, x, path)
+                    yield path, f"{x!r} is {how} of the given schemas{detail}"
             elif key == "items" and isinstance(x, list):
                 for i, item in enumerate(x):
                     yield from self._walk(arg, item, path + (i,))
@@ -187,3 +230,30 @@ def config_schema() -> Schema:
     path = os.path.join(os.path.dirname(__file__), "config_schema.json")
     with open(path, encoding="utf-8") as fh:
         return Schema(json.load(fh))
+
+
+def _non_finite_paths(node, path: tuple = ()) -> list[tuple]:
+    """Key paths of the NaN and infinite numbers in a parsed config, and of
+    the integers beyond the float range; Python's json reads NaN, Infinity,
+    overflowing literals such as 1e999 and integers of any size."""
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        return [] if abs(node) <= sys.float_info.max else [path]
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [bad for k, v in items for bad in _non_finite_paths(v, path + (k,))]
+    return []
+
+
+def validated(instance):
+    """instance resolved against the config schema (Schema.resolve), once
+    it has no non-finite number and no schema violation; otherwise a
+    ValueError that names the path of each."""
+    bad = [_where(p) for p in _non_finite_paths(instance)]
+    if bad:
+        raise ValueError("config rejected: non-finite number at " + ", ".join(bad))
+    schema = config_schema()
+    errors = schema.errors(instance)
+    if errors:
+        lines = [f"  at {_where(p)}: {m}" for p, m in errors]
+        raise ValueError("config rejected by schema:\n" + "\n".join(lines))
+    return schema.resolve(instance)

@@ -6,10 +6,11 @@ table, log-log decay fits, weak-limit comparisons, scattering series
 diagnostics, and derivative recovery ladders.
 
 Configs are validated against the JSON schema shipped with the package
-(by the package's own walker, nlqw._schema) before anything runs; unknown
-keys are rejected. Precedence is command-line --set overrides, then the
-config file, then the schema's default annotations, which the walker fills
-in after validation along with each number's Python type, so the commands
+(by the package's own walker, through nlqw._schema.validated, which also
+refuses non-finite numbers) before anything runs; unknown keys are
+rejected. Precedence is command-line --set overrides, then the config
+file, then the schema's default annotations, which the walker fills in
+after validation along with each number's Python type, so the commands
 read cfg[...] directly. Every command is deterministic and
 writes a machine-readable summary.json; the exit code is 0 exactly when all
 configured checks pass.
@@ -28,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._schema import config_schema
+from ._schema import validated
 from .coins import (
     CoinSpec,
     ConstantCoin,
@@ -85,18 +86,6 @@ def _apply_set(cfg: dict, assignment: str) -> None:
     node[parts[-1]] = value
 
 
-def _non_finite_paths(node, path: tuple = ()) -> list[tuple]:
-    """Key paths of the NaN and infinite numbers in a parsed config, and of
-    the integers beyond the float range; Python's json reads NaN, Infinity,
-    overflowing literals such as 1e999 and integers of any size."""
-    if isinstance(node, (int, float)) and not isinstance(node, bool):
-        return [] if abs(node) <= sys.float_info.max else [path]
-    if isinstance(node, (dict, list)):
-        items = node.items() if isinstance(node, dict) else enumerate(node)
-        return [bad for k, v in items for bad in _non_finite_paths(v, path + (k,))]
-    return []
-
-
 def _load_config(path: str | None, sets: list[str]) -> dict:
     """The config file with the --set overrides applied, validated, and
     resolved against the schema: defaults filled in, numbers typed."""
@@ -113,18 +102,10 @@ def _load_config(path: str | None, sets: list[str]) -> dict:
             raise ConfigError("config root must be a JSON object")
     for assignment in sets:
         _apply_set(cfg, assignment)
-    bad = ["/".join(str(k) for k in p) for p in _non_finite_paths(cfg)]
-    if bad:
-        raise ConfigError("config rejected: non-finite number at " + ", ".join(bad))
-    schema = config_schema()
-    errors = schema.errors(cfg)
-    if errors:
-        lines = []
-        for path, message in errors:
-            where = "/".join(str(p) for p in path) or "(root)"
-            lines.append(f"  at {where}: {message}")
-        raise ConfigError("config rejected by schema:\n" + "\n".join(lines))
-    return schema.resolve(cfg)
+    try:
+        return validated(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _initial_state(cfg: dict) -> LatticeState:
@@ -559,6 +540,11 @@ def _cmd_recover(cfg: dict, out: str) -> dict:
     sec = cfg["recover"]
     lams = tuple(sec["lambdas"])
     t_max = sec["t_max"]
+    bounds = sec.get("ratio_bounds")
+    if bounds and bounds[0] > bounds[1]:  # no error ratio could pass the check
+        raise ConfigError(
+            f"recover.ratio_bounds: lower bound {bounds[0]:g} exceeds upper bound {bounds[1]:g}"
+        )
 
     report = recovery_ladder(spec, lams, t_max)
     _release_free_heap()
@@ -713,10 +699,20 @@ def _release_free_heap() -> None:
         trim(0)
 
 
+def _missing_dirs(path: str) -> list[str]:
+    """The directories that creating path makes, innermost first."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     _set_malloc_thresholds()
-    made_out = not os.path.exists(args.out)
+    made = _missing_dirs(args.out)
     try:
         cfg = _load_config(args.config, args.sets)
         os.makedirs(args.out, exist_ok=True)
@@ -724,9 +720,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError, OSError, MemoryError) as exc:
         what = "out of memory: " if isinstance(exc, MemoryError) else ""
         print(f"nlqw: {what}{exc}", file=sys.stderr)
-        if made_out:
-            with contextlib.suppress(OSError):  # one with files in it stays
-                os.rmdir(args.out)
+        with contextlib.suppress(OSError):  # one with files in it stays
+            for path in made:
+                os.rmdir(path)
         return 2
     failed = [c["name"] for c in summary["checks"] if not c["passed"]]
     if failed:

@@ -7,18 +7,19 @@ identity at zero intensity, which is what the scattering diagnostics use.
 
 Each family is one class holding what nlqw knows about it: its linear part,
 its matrix at given intensities (the oracle the unitarity gate checks the
-kernels against), its vectorized kernel and its JSON form.  _FAMILIES maps
-each JSON family name to its class; the module-level functions delegate.
+kernels against) and its vectorized kernel; the module-level functions
+delegate.  A coin's JSON form is described once, by the coin branch of
+config_schema.json; coin_from_json holds its input to that branch.
 """
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
+from ._schema import validated
 from .state import LatticeState
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "apply_coin",
     "nonlinear_deviation",
     "nonlinear_partial_derivatives",
-    "coin_to_json",
     "coin_from_json",
 ]
 
@@ -130,72 +130,11 @@ def _intensity_power(s: np.ndarray, p: int) -> np.ndarray:
     return s**p
 
 
-def _number(v: object, what: str) -> float:
-    """v as a float: a JSON number within the float range, and not a bool."""
-    number = isinstance(v, (int, float)) and not isinstance(v, bool)
-    if not (number and abs(v) <= sys.float_info.max):
-        raise ValueError(f"{what} must be a finite number")
-    return float(v)
-
-
-def _complex_to_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _pair_to_complex(v: object, what: str) -> complex:
-    if not isinstance(v, (list, tuple)) or len(v) != 2:
-        raise ValueError(f"{what} must be a [re, im] pair of finite numbers")
-    return complex(_number(v[0], what), _number(v[1], what))
-
-
-def _herm_to_json(m: np.ndarray) -> list[list[float]]:
-    return [_complex_to_pair(m[i, j]) for i in range(2) for j in range(2)]
-
-
-def _herm_from_json(v: object, what: str) -> np.ndarray:
-    if not isinstance(v, (list, tuple)) or len(v) != 4:
-        raise ValueError(f"{what} must list four [re, im] entries row-major")
-    ent = [_pair_to_complex(e, f"{what} entry") for e in v]
-    m = np.array([[ent[0], ent[1]], [ent[2], ent[3]]], dtype=np.complex128)
-    return _herm2(m, what)
-
-
-def _require_keys(d: dict, keys: tuple[str, ...], what: str) -> None:
-    """d must have exactly the given keys."""
-    extra = set(d) - set(keys)
-    if extra:
-        raise ValueError(f"unknown keys in {what}: {sorted(extra)}")
-    for key in keys:
-        if key not in d:
-            raise ValueError(f"{what} is missing key {key!r}")
-
-
-# JSON family name -> class, filled in as the family classes are defined.
-# config_schema.json's coin oneOf lists the same names by hand;
-# tests/test_coins.py checks that the two agree.
-_FAMILIES: dict[str, type[CoinSpec]] = {}
-
-
 class CoinSpec:
     """Base of the coin families.  Each family implements _linear_part,
-    _evaluate(s1, s2) (its matrix at those intensities) and _kernel; one
-    with a JSON form sets _name, which registers it in _FAMILIES, and
-    implements _to_json and the classmethod _from_json.  The defaults below
-    are for the families that lack the structure in question."""
-
-    _name: str | None = None  # JSON family name
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        if "_name" in vars(cls):
-            _FAMILIES[cls._name] = cls
-
-    def _to_json(self) -> dict:
-        raise ValueError(f"coin spec {type(self).__name__} has no JSON form")
-
-    def _composed_json(self, c0: np.ndarray) -> dict:
-        """JSON form of ComposedCoin(c0, self)."""
-        raise ValueError("coin spec ComposedCoin has no JSON form")
+    _evaluate(s1, s2) (its matrix at those intensities) and _kernel.  The
+    defaults below are for the families that lack the structure in
+    question."""
 
     def _derivatives(self) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
@@ -214,7 +153,7 @@ class CoinSpec:
 class _Coupled(CoinSpec):
     """A family whose coupling g multiplies a power of the intensities, so
     that rescaling the amplitudes by c = |g|^(1 / (2 power)) brings g to
-    unit size.  Its JSON form is its dataclass fields."""
+    unit size.  Its JSON keys are its dataclass fields."""
 
     def _scale(self) -> float:
         """c for the first power."""
@@ -225,23 +164,10 @@ class _Coupled(CoinSpec):
             return self, 1.0
         return replace(self, g=float(np.sign(self.g))), self._scale()
 
-    def _to_json(self) -> dict:
-        return {"family": self._name, **{f.name: getattr(self, f.name) for f in fields(self)}}
-
-    @classmethod
-    def _from_json(cls, d: dict) -> CoinSpec:
-        _require_keys(d, ("family", *(f.name for f in fields(cls))), f"{cls._name} coin")
-        # the class checks its integer fields (the annotations are strings here)
-        return cls(
-            *(d[f.name] if f.type == "int" else _number(d[f.name], f.name) for f in fields(cls))
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class ConstantCoin(CoinSpec):
     """Intensity-independent coin given by a fixed unitary matrix."""
 
-    _name = "constant"
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
@@ -259,24 +185,10 @@ class ConstantCoin(CoinSpec):
     def unit_strength(self) -> tuple[CoinSpec, float]:
         return self, 1.0
 
-    def _to_json(self) -> dict:
-        return {
-            "family": self._name,
-            "a": _complex_to_pair(self.matrix[0, 0]),
-            "b": _complex_to_pair(self.matrix[0, 1]),
-        }
-
-    @classmethod
-    def _from_json(cls, d: dict) -> ConstantCoin:
-        _require_keys(d, ("family", "a", "b"), "constant coin")
-        return cls(c0_from_ab(_pair_to_complex(d["a"], "a"), _pair_to_complex(d["b"], "b")))
-
-
 @dataclass(frozen=True)
 class GaltonCoin(_Coupled):
     """Balanced beam splitter followed by intensity phases exp(i g s_j)."""
 
-    _name = "galton"
     g: float
 
     def _linear_part(self) -> np.ndarray:
@@ -305,7 +217,6 @@ class GaltonCoin(_Coupled):
 class GrossNeveuCoin(_Coupled):
     """Opposite phases exp(-+ i g (s1 - s2)) on the rows of a rotation."""
 
-    _name = "gross_neveu"
     g: float
     theta: float
 
@@ -335,7 +246,6 @@ class GrossNeveuCoin(_Coupled):
 class ThirringCoin(_Coupled):
     """Global phase exp(i g (s1 + s2)) times a rotation."""
 
-    _name = "thirring"
     g: float
     theta: float
 
@@ -362,7 +272,6 @@ class ThirringCoin(_Coupled):
 class RotationPowerCoin(_Coupled):
     """Rotation by theta0 + g (s1 + s2)^p; g may take either sign."""
 
-    _name = "rotation_power"
     theta0: float
     g: float
     p: int
@@ -399,11 +308,10 @@ class QuinticExponentialCoin(CoinSpec):
     """Intensity factor exp(i (s1^2 A1 + s2^2 A2)) with Hermitian A1, A2.
 
     The quadratic dependence on the intensities makes the deviation from the
-    identity quintic in the amplitude once applied to the state.  Its JSON
-    form is that of ComposedCoin(c0, self).
+    identity quintic in the amplitude once applied to the state.  The JSON
+    family quintic_exponential builds ComposedCoin(c0, self).
     """
 
-    _name = "quintic_exponential"
     a1: np.ndarray
     a2: np.ndarray
 
@@ -452,26 +360,6 @@ class QuinticExponentialCoin(CoinSpec):
     def _derivatives(self) -> tuple[np.ndarray, np.ndarray]:
         return 1j * self.a1.copy(), 1j * self.a2.copy()
 
-    def _composed_json(self, c0: np.ndarray) -> dict:
-        return {
-            "family": self._name,
-            "a1": _herm_to_json(self.a1),
-            "a2": _herm_to_json(self.a2),
-            "c0": {"a": _complex_to_pair(c0[0, 0]), "b": _complex_to_pair(c0[0, 1])},
-        }
-
-    @classmethod
-    def _from_json(cls, d: dict) -> ComposedCoin:
-        _require_keys(d, ("family", "a1", "a2", "c0"), "quintic_exponential coin")
-        c0d = d["c0"]
-        if not isinstance(c0d, dict):
-            raise ValueError("c0 must be an object with keys a, b")
-        _require_keys(c0d, ("a", "b"), "c0")
-        c0 = c0_from_ab(_pair_to_complex(c0d["a"], "c0.a"), _pair_to_complex(c0d["b"], "c0.b"))
-        inner = cls(_herm_from_json(d["a1"], "a1"), _herm_from_json(d["a2"], "a2"))
-        return ComposedCoin(c0, inner)
-
-
 @dataclass(frozen=True, eq=False)
 class ComposedCoin(CoinSpec):
     """Constant unitary c0 composed with a nonlinear factor family."""
@@ -501,9 +389,6 @@ class ComposedCoin(CoinSpec):
 
     def _derivatives(self) -> tuple[np.ndarray, np.ndarray]:
         return nonlinear_partial_derivatives(self.inner)
-
-    def _to_json(self) -> dict:
-        return _family(self.inner, ValueError)._composed_json(self.c0)
 
 
 GALTON_LINEAR = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
@@ -574,17 +459,33 @@ def nonlinear_partial_derivatives(spec: CoinSpec) -> tuple[np.ndarray, np.ndarra
     return _family(spec, ValueError)._derivatives()
 
 
-def coin_to_json(spec: CoinSpec) -> dict:
-    """JSON-serializable description; inverse of coin_from_json."""
-    return _family(spec, ValueError)._to_json()
+# JSON family name -> the class built from the branch's other keys
+_COUPLED = {
+    "galton": GaltonCoin,
+    "gross_neveu": GrossNeveuCoin,
+    "thirring": ThirringCoin,
+    "rotation_power": RotationPowerCoin,
+}
+
+
+def _matrix(entries: list) -> np.ndarray:
+    """A 2x2 matrix from its four [re, im] entries, row-major."""
+    return np.array([complex(*e) for e in entries], dtype=np.complex128).reshape(2, 2)
 
 
 def coin_from_json(d: dict) -> CoinSpec:
-    """Build a coin spec from its JSON description, validating all fields."""
-    if not isinstance(d, dict) or "family" not in d:
-        raise ValueError("coin description must be an object with a 'family' key")
-    fam = d["family"]
-    cls = _FAMILIES.get(fam) if isinstance(fam, str) else None
-    if cls is None:
-        raise ValueError(f"unknown coin family {fam!r}")
-    return cls._from_json(d)
+    """Build a coin spec from its JSON description, a config's "coin".
+
+    d is held to the coin branch of config_schema.json, whose errors name
+    the offending key, and read as resolved there: a "number" as a float,
+    an "integer" as an int.  The classes check what the schema cannot:
+    unitarity, 0 < |a| < 1, Hermitian generators and a positive integer p.
+    """
+    d = validated({"coin": d})["coin"]
+    family = d.pop("family")
+    if family == "constant":
+        return ConstantCoin(c0_from_ab(complex(*d["a"]), complex(*d["b"])))
+    if family == "quintic_exponential":
+        c0 = c0_from_ab(complex(*d["c0"]["a"]), complex(*d["c0"]["b"]))
+        return ComposedCoin(c0, QuinticExponentialCoin(_matrix(d["a1"]), _matrix(d["a2"])))
+    return _COUPLED[family](**d)

@@ -181,6 +181,56 @@ class TestConfigValidation:
         assert code == 2
         assert out.is_dir()
 
+    def test_refusal_removes_every_directory_it_created(self, tmp_path, capsys):
+        (tmp_path / "kept").mkdir()
+        cfg = {
+            "schema_version": 1,
+            "decay": {
+                "t_min": 3000,
+                "t_max": 3000,
+                "runs": [{"label": "x", "coin": HADAMARD_COIN}],
+            },
+        }
+        for out_name in ("a/b/c", "kept/d/e"):
+            code, _, _ = run("decay", tmp_path, cfg, out_name=out_name)
+            assert code == 2
+        assert "must be below decay.t_max" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "kept"]
+        assert os.listdir(tmp_path / "kept") == []
+
+    @pytest.mark.parametrize(
+        "section, value, named",
+        [
+            ("coin", {"family": "galton"}, "at coin: 'g' is a required property"),
+            (
+                "coin",
+                {"family": "rotation_power", "theta0": 0.1, "g": 0.5, "p": 0},
+                "at coin/p: 0 is less than the minimum of 1",
+            ),
+            ("coin", {"family": "thirring", "g": 1.0, "theta": "x"}, "at coin/theta: 'x' is not"),
+            (
+                "coin",
+                {**QUINTIC_COIN, "c0": {"a": [R, 0.0]}},
+                "at coin/c0: 'b' is a required property",
+            ),
+            ("coin", {"family": "parrondo"}, "'family' must be one of ['constant', "),
+            ("initial", {"kind": "csv"}, "at initial: 'path' is a required property"),
+            ("initial", {"kind": "delta", "component": 3}, "at initial/component: 3 is not one of"),
+            ("initial", {"kind": "delta", "site": 0.5}, "at initial/site: 0.5 is not of type"),
+            ("initial", {"kind": "bogus"}, "'kind' must be one of ['delta', 'csv']"),
+        ],
+        ids=["missing", "bound", "type", "nested", "family", "csv", "enum", "site", "kind"],
+    )
+    def test_bad_coin_or_initial_names_the_key(
+        self, tmp_path, capsys, monkeypatch, section, value, named
+    ):
+        monkeypatch.setattr(cli, "evolve", no_walk)
+        cfg = {"schema_version": 1, "coin": HADAMARD_COIN, "steps": 2, section: value}
+        code, out, _ = run("simulate", tmp_path, cfg)
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_decay_without_its_section(self, tmp_path, capsys):
         cfg = {"schema_version": 1, "initial": {"kind": "delta", "component": 1}}
         code, _, _ = run("decay", tmp_path, cfg)
@@ -782,6 +832,21 @@ class TestRecover:
         assert "at recover/lambdas: [0.2, 0.2] has non-unique elements" in err
         assert "Warning" not in err
         assert caught == []
+        assert not out.exists()
+
+    def test_inverted_ratio_bounds_are_rejected_before_any_walk(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # no error ratio lies in [9, 1]
+        monkeypatch.setattr(cli, "recovery_ladder", no_walk)
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", "recover.json")
+        out = tmp_path / "out"
+        argv = ["recover", "--config", config, "--out", str(out)]
+        code = main(argv + ["--set", "recover.ratio_bounds=[9,1]"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "nlqw: recover.ratio_bounds: lower bound 9 exceeds upper bound 1\n"
+        )
         assert not out.exists()
 
     def test_removed_exponent_variant_key_is_rejected(self, tmp_path, capsys):
