@@ -113,13 +113,30 @@ def _herm2_exp(h: np.ndarray) -> np.ndarray:
 
 def matrix_kernel(m: np.ndarray) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Pointwise product (u1, u2) -> m (u1, u2) with a constant 2x2 m: the
-    constant coin's kernel, and every linear coin stage of the engine."""
+    constant coin's kernel, and every linear coin stage of the engine.  A
+    real m acts through its real parts, so real input stays real."""
+    if not m.imag.any():
+        m = m.real
     m00, m01, m10, m11 = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
 
     def kern(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return m00 * u1 + m01 * u2, m10 * u1 + m11 * u2
 
     return kern
+
+
+def sum_of_squares(*parts: np.ndarray) -> np.ndarray:
+    """Sum of |z|^2 over the arrays parts, added left to right as
+    re^2 + im^2 of each complex part or x^2 of each real part; the
+    intensities of the coin kernels and the engine's site norms."""
+    total = None
+    for z in parts:
+        for x in (z.real, z.imag) if np.iscomplexobj(z) else (z,):
+            if total is None:
+                total = x**2
+            else:
+                total += x**2
+    return total
 
 
 def _intensity_power(s: np.ndarray, p: int) -> np.ndarray:
@@ -134,7 +151,13 @@ class CoinSpec:
     """Base of the coin families.  Each family implements _linear_part,
     _evaluate(s1, s2) (its matrix at those intensities) and _kernel.  The
     defaults below are for the families that lack the structure in
-    question."""
+    question.
+
+    real is True for a coin that maps real amplitudes to real amplitudes
+    and whose kernel keeps real input real, so that the engine may walk
+    real data on float buffers."""
+
+    real = False
 
     def _derivatives(self) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
@@ -179,6 +202,10 @@ class ConstantCoin(CoinSpec):
     def _evaluate(self, s1: float, s2: float) -> np.ndarray:
         return self.matrix.copy()
 
+    @property
+    def real(self) -> bool:
+        return not self.matrix.imag.any()
+
     def _kernel(self):
         return matrix_kernel(self.matrix)
 
@@ -206,8 +233,8 @@ class GaltonCoin(_Coupled):
         inv_sqrt2 = 1.0 / np.sqrt(2.0)
 
         def kern_galton(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            w1 = np.exp(1j * (g * (u1.real**2 + u1.imag**2))) * u1
-            w2 = np.exp(1j * (g * (u2.real**2 + u2.imag**2))) * u2
+            w1 = np.exp(1j * (g * sum_of_squares(u1))) * u1
+            w2 = np.exp(1j * (g * sum_of_squares(u2))) * u2
             return inv_sqrt2 * (w1 + w2), inv_sqrt2 * (w1 - w2)
 
         return kern_galton
@@ -235,7 +262,7 @@ class GrossNeveuCoin(_Coupled):
         c, s = np.cos(self.theta), np.sin(self.theta)
 
         def kern_gn(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            d = g * ((u1.real**2 + u1.imag**2) - (u2.real**2 + u2.imag**2))
+            d = g * (sum_of_squares(u1) - sum_of_squares(u2))
             ph = np.exp(1j * d)
             return np.conj(ph) * (c * u1 - s * u2), ph * (s * u1 + c * u2)
 
@@ -260,9 +287,7 @@ class ThirringCoin(_Coupled):
         c, s = np.cos(self.theta), np.sin(self.theta)
 
         def kern_thirring(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            ph = np.exp(
-                1j * (g * (u1.real**2 + u1.imag**2 + u2.real**2 + u2.imag**2))
-            )
+            ph = np.exp(1j * (g * sum_of_squares(u1, u2)))
             return ph * (c * u1 - s * u2), ph * (s * u1 + c * u2)
 
         return kern_thirring
@@ -275,6 +300,8 @@ class RotationPowerCoin(_Coupled):
     theta0: float
     g: float
     p: int
+
+    real = True
 
     def __post_init__(self) -> None:
         p = self.p
@@ -292,7 +319,7 @@ class RotationPowerCoin(_Coupled):
         theta0, g, p = self.theta0, self.g, self.p
 
         def kern_rotpow(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            s = u1.real**2 + u1.imag**2 + u2.real**2 + u2.imag**2
+            s = sum_of_squares(u1, u2)
             th = theta0 + g * _intensity_power(s, p)
             c, sn = np.cos(th), np.sin(th)
             return c * u1 - sn * u2, sn * u1 + c * u2
@@ -334,8 +361,8 @@ class QuinticExponentialCoin(CoinSpec):
         a2_11 = self.a2[1, 1].real
 
         def kern_quintic(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            r1 = (u1.real**2 + u1.imag**2) ** 2
-            r2 = (u2.real**2 + u2.imag**2) ** 2
+            r1 = sum_of_squares(u1) ** 2
+            r2 = sum_of_squares(u2) ** 2
             alpha = r1 * a1_00 + r2 * a2_00
             delta = r1 * a1_11 + r2 * a2_11
             beta = r1 * a1_01 + r2 * a2_01
@@ -371,6 +398,10 @@ class ComposedCoin(CoinSpec):
         object.__setattr__(self, "c0", require_unitary(self.c0, "c0"))
         if isinstance(self.inner, (ConstantCoin, ComposedCoin)):
             raise ValueError("inner factor must be an intensity-dependent family")
+
+    @property
+    def real(self) -> bool:
+        return self.inner.real and not self.c0.imag.any()
 
     def _linear_part(self) -> np.ndarray:
         return self.c0 @ linear_part(self.inner)

@@ -14,6 +14,13 @@ Every shift in the engine is one of two in-place primitives, shift_into
 and inverse_shift_into, and every walk runs through one step loop,
 walk(), which evolve() and the scattering series drive with their own
 per-step observers.
+
+evolve() walks on float64 buffers when the coin is real (CoinSpec.real)
+and every imaginary part of u0 is +0, bit for bit; otherwise, and in the
+scattering series, on complex128.  The imaginary parts a real walk would
+carry stay exact zeros, so dropping them keeps every nonzero value's
+bits; only the sign of an exact zero may change, +0 where the complex
+loop, with a negative cos(theta) or coin entry, writes -0.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .coins import (
     apply_coin,
     coin_kernel,
     require_unitary,
+    sum_of_squares,
 )
 from .state import LatticeState, l2_distance, lp_of_norms, scaled, weak_lp_of_norms
 
@@ -201,9 +209,13 @@ def walk(
     steps: int,
     observer,
     snapshot_times: tuple[int, ...] = (),
+    dtype: type = np.complex128,
 ):
     """The engine's one step loop: up to `steps` steps u -> S C(u) u of one
     walk per seed, kern being the coin kernel, each step handed to observer.
+    The buffers hold dtype: complex128, or float64 for a kern that keeps
+    real input real and seeds whose imaginary parts are all +0, which the
+    buffers then drop.
 
     The seeds share origin and window length and advance in lockstep as
     the columns of (size, runs) buffers, so kern sees every run's window in
@@ -233,11 +245,13 @@ def walk(
     runs = len(seeds)
     off = steps + observer.margin + 1
     size = n0 + 2 * off
-    u1, u2 = (np.zeros((size, runs), dtype=np.complex128) for _ in range(2))
+    u1, u2 = (np.zeros((size, runs), dtype=dtype) for _ in range(2))
     f1, f2 = u1.reshape(-1), u2.reshape(-1)  # flat views, row after row
     lo, hi = off, off + n0
-    u1[lo:hi] = np.column_stack([s.amplitudes[:, 0] for s in seeds])
-    u2[lo:hi] = np.column_stack([s.amplitudes[:, 1] for s in seeds])
+    amp = np.stack([s.amplitudes for s in seeds], axis=-1)  # (n0, 2, runs)
+    if dtype == np.float64:
+        amp = amp.real
+    u1[lo:hi], u2[lo:hi] = amp[:, 0], amp[:, 1]
     base = origin - off  # site of buffer row 0
     observer.begin(u1, u2, base, lo, hi)
 
@@ -282,10 +296,10 @@ def _site_norms(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     overflows are recomputed by hypot, so a norm is infinite only where it
     exceeds the float range, and then raises as well."""
     try:
-        return np.sqrt(a1.real**2 + a1.imag**2 + a2.real**2 + a2.imag**2)
+        return np.sqrt(sum_of_squares(a1, a2))
     except FloatingPointError:
         with np.errstate(over="ignore"):
-            norms = np.sqrt(a1.real**2 + a1.imag**2 + a2.real**2 + a2.imag**2)
+            norms = np.sqrt(sum_of_squares(a1, a2))
         big = np.isinf(norms)
         norms[big] = np.hypot(np.abs(a1[big]), np.abs(a2[big]))
         return norms
@@ -366,7 +380,9 @@ def evolve(
     """Run `steps` walk steps from u0, recording requested observables.
 
     A lone run of walk(): the full light-cone window is allocated once and
-    advanced in place, so the cost is O(steps * window) array work.
+    advanced in place, so the cost is O(steps * window) array work.  A real
+    coin (spec.real) on u0 whose imaginary parts are all +0, bit for bit,
+    walks on float64 buffers; any other walk on complex128.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -374,9 +390,10 @@ def evolve(
     for t in rec.snapshot_times:
         if not 0 <= t <= steps:
             raise ValueError(f"snapshot time {t} is outside [0, {steps}]")
-    traj, (snaps,) = walk(
-        [u0], coin_kernel(spec), steps, _Recording(u0, rec), rec.snapshot_times
-    )
+    kern = coin_kernel(spec)
+    real = spec.real and not u0.amplitudes.imag.view(np.uint64).any()
+    dtype = np.float64 if real else np.complex128
+    traj, (snaps,) = walk([u0], kern, steps, _Recording(u0, rec), rec.snapshot_times, dtype)
     traj.snapshots = snaps
     return traj
 

@@ -33,6 +33,7 @@ __all__ = [
 
 STATE_CSV_HEADER = "x,re_u1,im_u1,re_u2,im_u2"
 _CSV_BLOCK = 256  # sites per tolist() block in save_state_csv
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,14 +189,16 @@ def lp_norm(u: LatticeState, p: float) -> float:
 
 def lp_of_norms(norms: np.ndarray, p: float) -> float:
     """lp_norm from precomputed site norms (p finite, already validated):
-    (sum norms^p)^(1/p).  Where that sum overflows, the norms are scaled
-    by their maximum m first, m (sum (norms/m)^p)^(1/p), so the norm is
-    infinite only where it exceeds the float range."""
+    (sum norms^p)^(1/p).  Where that sum overflows or falls below the
+    smallest normal double while some norm is nonzero, the norms are
+    scaled by their maximum m first, m (sum (norms/m)^p)^(1/p), so the
+    norm is infinite only where it exceeds the float range and zero only
+    for the zero state."""
     with np.errstate(over="ignore"):
         total = np.sum(norms**p)
-    if np.isinf(total):
+    if np.isinf(total) or total < _TINY:
         m = norms.max()
-        if np.isfinite(m):
+        if 0.0 < m < np.inf:
             return float(m * np.sum((norms / m) ** p) ** (1.0 / p))
     return float(total ** (1.0 / p))
 

@@ -511,8 +511,58 @@ def random_state(n, seed):
     return LatticeState(-3, amp)
 
 
+def random_real_state(n, seed):
+    """n random real sites of unit l2 norm."""
+    amp = np.random.default_rng(seed).standard_normal((n, 2))
+    return LatticeState(-3, (amp / np.linalg.norm(amp)).astype(np.complex128))
+
+
+# Real seeds for the float path: a delta, then real windows whose float
+# buffers (from 32768 sites) or complex ones (from 16384) cross numpy's
+# 256 KiB temporary elision.  All have unit l2 norm, so every intensity
+# stays at most 1 and theta0 + g s^p within |g| of theta0
+REAL_SEEDS = {
+    "delta": (delta_state(1, 0), 300),
+    **{f"real{n}": (random_real_state(n, n), steps) for n, steps in
+       [(1, 300), (9000, 40), (20001, 6), (40001, 3)]},
+}
+
+
 def same_state(a, b):
     return a.origin == b.origin and a.amplitudes.tobytes() == b.amplitudes.tobytes()
+
+
+def full_recorder(steps, component=1):
+    return Recorder(
+        sup_norm=True,
+        lp=(1.0, 2.0, 5.0, float("inf")),
+        weak_lp=(4.0, 6.0),
+        argmax=True,
+        threshold=0.05,
+        threshold_component=component,
+        left_edge=True,
+        snapshot_times=(0, steps // 3, steps),
+    )
+
+
+def engine_pairs(u0, spec, steps, rec):
+    """(evolve, reference_evolve) pairs of every array the two return, once
+    their windows, keys and threshold sites are known to agree."""
+    final, series, trace, snaps = reference_evolve(u0, spec, steps, rec)
+    traj = evolve(u0, spec, steps, rec)
+    assert traj.final.origin == final.origin
+    assert list(traj.series) == list(series)
+    assert [t for t, _ in traj.threshold_trace] == [t for t, _ in trace]
+    for (_, got), (_, want) in zip(traj.threshold_trace, trace):
+        assert got.tobytes() == want.tobytes()
+    assert sorted(traj.snapshots) == sorted(snaps)
+    for t, state in snaps.items():
+        assert traj.snapshots[t].origin == state.origin
+    return (
+        [("final", traj.final.amplitudes, final.amplitudes)]
+        + [(key, traj.series[key], values) for key, values in series.items()]
+        + [(f"t={t}", traj.snapshots[t].amplitudes, s.amplitudes) for t, s in snaps.items()]
+    )
 
 
 class TestFrozenEngineBitIdentity:
@@ -520,31 +570,40 @@ class TestFrozenEngineBitIdentity:
     @pytest.mark.parametrize("n, steps", WINDOWS)
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_evolve_matches_the_former_loop(self, family, n, steps, component):
-        spec = FAMILIES[family]
         u0 = random_state(n, n + steps)
-        rec = Recorder(
-            sup_norm=True,
-            lp=(1.0, 2.0, 5.0, float("inf")),
-            weak_lp=(4.0, 6.0),
-            argmax=True,
-            threshold=0.05,
-            threshold_component=component,
-            left_edge=True,
-            snapshot_times=(0, steps // 3, steps),
-        )
-        final, series, trace, snaps = reference_evolve(u0, spec, steps, rec)
-        traj = evolve(u0, spec, steps, rec)
-        assert same_state(traj.final, final)
-        assert list(traj.series) == list(series)
-        for key, values in series.items():
-            assert traj.series[key].dtype == values.dtype, key
-            assert traj.series[key].tobytes() == values.tobytes(), key
-        assert [t for t, _ in traj.threshold_trace] == [t for t, _ in trace]
-        for (_, got), (_, want) in zip(traj.threshold_trace, trace):
-            assert got.tobytes() == want.tobytes()
-        assert sorted(traj.snapshots) == sorted(snaps)
-        for t, state in snaps.items():
-            assert same_state(traj.snapshots[t], state)
+        rec = full_recorder(steps, component)
+        for what, got, want in engine_pairs(u0, FAMILIES[family], steps, rec):
+            assert got.dtype == want.dtype, what
+            assert got.tobytes() == want.tobytes(), what
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("seed", sorted(REAL_SEEDS))
+    def test_float_path_matches_the_former_loop_bit_for_bit(self, seed, p):
+        u0, steps = REAL_SEEDS[seed]
+        for what, got, want in engine_pairs(u0, soliton_spec(p=p), steps, full_recorder(steps)):
+            assert got.dtype == want.dtype, what
+            assert got.tobytes() == want.tobytes(), what
+
+    @pytest.mark.parametrize(
+        "spec",
+        [RotationPowerCoin(2.5, -0.8, 2), ConstantCoin(c0_from_ab(-0.6, 0.8))],
+        ids=["theta0_2.5", "constant"],
+    )
+    @pytest.mark.parametrize("seed", sorted(REAL_SEEDS))
+    def test_float_path_changes_only_the_sign_of_zeros(self, seed, spec):
+        # where cos(theta) or a coin entry is negative, the former loop
+        # writes some exact zeros as -0; the float path writes +0 there.
+        # At theta0 = pi/4 and g = -0.8, theta stays inside (-pi/2, pi/2)
+        # on these seeds, so cos(theta) > 0 and the test above asks for
+        # every bit
+        u0, steps = REAL_SEEDS[seed]
+        for what, got, want in engine_pairs(u0, spec, steps, full_recorder(steps)):
+            assert got.dtype == want.dtype, what
+            assert np.array_equal(got, want), what
+            if got.dtype.kind == "c":
+                got, want = got.view(np.float64), want.view(np.float64)
+            nonzero = want != 0
+            assert got[nonzero].tobytes() == want[nonzero].tobytes(), what
 
     @pytest.mark.parametrize("n", [n for n, _ in WINDOWS])
     def test_state_level_shifts_match_the_former_forms(self, n):
@@ -562,58 +621,147 @@ class TestFrozenEngineBitIdentity:
         assert same_state(step(u, spec), evolve(u, spec, 1).final)
 
 
+@pytest.fixture
+def buffer_dtypes(monkeypatch):
+    """The buffer dtype of every evolve() run, in order."""
+    seen = []
+    begin = evolution._Recording.begin
+
+    def spy(self, u1, u2, base, lo, hi):
+        seen.append(u1.dtype)
+        begin(self, u1, u2, base, lo, hi)
+
+    monkeypatch.setattr(evolution._Recording, "begin", spy)
+    return seen
+
+
+def with_imag(u, site, component, imag):
+    """u with the imaginary part of one amplitude set to imag."""
+    amp = u.amplitudes.copy()
+    amp.imag[site, component] = imag
+    return LatticeState(u.origin, amp)
+
+
+F64, C128 = np.dtype(np.float64), np.dtype(np.complex128)
+
+
+class TestBufferDtype:
+    @pytest.mark.parametrize(
+        "spec",
+        [soliton_spec(), ConstantCoin(C0), ComposedCoin(C0, soliton_spec())],
+        ids=["rotation_power", "constant", "composed"],
+    )
+    def test_real_coin_on_real_data_walks_on_floats(self, spec, buffer_dtypes):
+        traj = evolve(random_real_state(9, 1), spec, 20, Recorder(snapshot_times=(0, 20)))
+        assert spec.real and buffer_dtypes == [F64]
+        assert traj.final.amplitudes.dtype == C128
+        assert [s.amplitudes.dtype for s in traj.snapshots.values()] == [C128, C128]
+
+    @pytest.mark.parametrize(
+        "spec, u0",
+        [
+            (GaltonCoin(0.7), random_real_state(9, 1)),
+            (FAMILIES["quintic"], random_real_state(9, 1)),
+            (ConstantCoin(c0_from_ab(R, 1j * R)), random_real_state(9, 1)),
+            (ComposedCoin(c0_from_ab(R, 1j * R), soliton_spec()), random_real_state(9, 1)),
+            (soliton_spec(), with_imag(random_real_state(9, 1), 4, 1, 1e-300)),
+            (soliton_spec(), with_imag(random_real_state(9, 1), 8, 0, -0.0)),
+        ],
+        ids=["galton", "quintic", "complex_constant", "complex_composed", "imag", "imag_-0"],
+    )
+    def test_other_walks_stay_complex(self, spec, u0, buffer_dtypes):
+        evolve(u0, spec, 20)
+        assert buffer_dtypes == [C128]
+
+    def test_which_families_are_real(self):
+        real = [name for name, spec in sorted(FAMILIES.items()) if spec.real]
+        assert real == ["constant", "rotation_power"]
+
+
 class TestNonFiniteGuard:
-    def test_overflow_names_the_step_and_site(self):
-        amp = np.full((5, 2), 0.1, dtype=np.complex128)
+    """Real coins walk this real data on the float path."""
+
+    imag = 0.0  # every imaginary part of the initial data
+    dtype = F64  # the buffers of a real coin's walk
+
+    def state(self, origin, amp):
+        amp = np.array(amp, dtype=np.complex128)
+        amp.imag = self.imag
+        return LatticeState(origin, amp)
+
+    def test_overflow_names_the_step_and_site(self, buffer_dtypes):
+        amp = np.full((5, 2), 0.1)
         amp[3, 0] = 1e200
-        u0 = LatticeState(-2, amp)
+        u0 = self.state(-2, amp)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"in step 1 at site 1$"):
                 evolve(u0, soliton_spec(), 50, Recorder(sup_norm=True))
+        assert buffer_dtypes == [self.dtype]
 
-    def test_later_blow_up_names_its_step(self):
+    def test_later_blow_up_names_its_step(self, buffer_dtypes):
         # each component alone squares to 1e308; step 1 brings both onto
         # site 0, where the Thirring intensity sums them past the float range
-        amp = np.array([[0.0, 1e154], [0.0, 0.0], [1e154, 0.0]], dtype=np.complex128)
-        u0 = LatticeState(-1, amp)
+        u0 = self.state(-1, [[0.0, 1e154], [0.0, 0.0], [1e154, 0.0]])
         with pytest.raises(ValueError, match="in step 2 at site 0$"):
             evolve(u0, ThirringCoin(1.0, 0.0), 5)
         # the linear coin squares nothing, so the same state walks on
         traj = evolve(u0, ConstantCoin(C0), 5)
         assert np.isfinite(traj.final.amplitudes).all()
+        assert buffer_dtypes == [C128, self.dtype]
 
-    def test_recorder_norms_of_finite_amplitudes_stay_finite(self):
+    def test_recorder_norms_of_finite_amplitudes_stay_finite(self, buffer_dtypes):
         # squared, these amplitudes overflow; the recorder's site norms fall
         # back to hypot there (the frozen-engine test pins the other bits)
-        u0 = scaled(delta_state(1, 0), 1e160)
+        u0 = self.state(0, [[1e160, 0.0]])
         traj = evolve(u0, ConstantCoin(C0), 5, Recorder(sup_norm=True, lp=(np.inf,)))
         final = traj.final.amplitudes
         assert traj.series["sup_norm"][0] == 1e160
         want = np.hypot(abs(final[:, 0]), abs(final[:, 1])).max()
         assert traj.series["sup_norm"][-1] == want
         assert traj.series["lp_inf"].tobytes() == traj.series["sup_norm"].tobytes()
+        assert buffer_dtypes == [self.dtype]
 
-    def test_recorder_lp_of_finite_amplitudes_stays_finite(self):
+    def test_recorder_lp_of_finite_amplitudes_stays_finite(self, buffer_dtypes):
         # the sum of squared site norms overflows; lp scales by the maximum
-        u0 = scaled(delta_state(1, 0), 1e160)
+        u0 = self.state(0, [[1e160, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traj = evolve(u0, ConstantCoin(C0), 5, Recorder(lp=(2.0,)))
         assert traj.series["lp_2"][0] == 1e160
         assert traj.series["lp_2"] == pytest.approx(1e160, rel=1e-14)
+        assert buffer_dtypes == [self.dtype]
 
-    def test_norm_beyond_the_float_range_names_the_step(self):
+    def test_recorder_lp_of_small_norms_stays_positive(self, buffer_dtypes):
+        # from about step 8 every site norm^700 underflows; lp scales by the
+        # maximum there, so it stays at least the sup norm
+        u0 = self.state(0, [[1.0, 0.0]])
+        rec = Recorder(sup_norm=True, lp=(700.0,))
+        traj = evolve(u0, ConstantCoin(c0_from_ab(R, R)), 200, rec)
+        assert (traj.series["lp_700"] >= traj.series["sup_norm"]).all()
+        assert buffer_dtypes == [self.dtype]
+
+    def test_norm_beyond_the_float_range_names_the_step(self, buffer_dtypes):
         # the identity coin keeps both components finite, but their norm
         # 1.3e308 * sqrt(2) exceeds the float range
-        u0 = LatticeState(0, np.array([[1.3e308, 1.3e308]], dtype=np.complex128))
+        u0 = self.state(0, [[1.3e308, 1.3e308]])
         with pytest.raises(ValueError, match="in step 1$"):
             evolve(u0, ConstantCoin(np.eye(2)), 3, Recorder(sup_norm=True))
+        assert buffer_dtypes == [self.dtype]
 
-    def test_final_state_norm_overflow_names_the_last_step(self):
-        u0 = LatticeState(0, np.array([[1.3e308, 1.3e308]], dtype=np.complex128))
+    def test_final_state_norm_overflow_names_the_last_step(self, buffer_dtypes):
+        u0 = self.state(0, [[1.3e308, 1.3e308]])
         with pytest.raises(ValueError, match="after step 0$"):
             evolve(u0, ConstantCoin(np.eye(2)), 0, Recorder(sup_norm=True))
+        assert buffer_dtypes == [self.dtype]
+
+
+class TestNonFiniteGuardComplexPath(TestNonFiniteGuard):
+    """The same walks from the same values with -0 imaginary parts, which
+    keep them on complex buffers."""
+
+    imag = -0.0
+    dtype = C128
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,16 @@ tracer = load("tracer")
 workloads = load("workloads")
 
 
+class DtypeTracer(tracer.Tracer):
+    """The benchmark's tracer, with each coin-kernel span also noting the
+    dtype of the arrays the kernel receives."""
+
+    def call(self, name, fn, args=(), kwargs=None, attrs=None, root=False):
+        if name.startswith("coins.kernel."):
+            attrs = {**attrs, "dtype": args[0].dtype.name}
+        return super().call(name, fn, args, kwargs, attrs, root)
+
+
 @pytest.fixture(scope="module")
 def traced(tmp_path_factory):
     """The five benchmark commands at small sizes under the tracer."""
@@ -57,7 +67,7 @@ def traced(tmp_path_factory):
         ["weak-limit", "--config", cfg("weak_limit.json"), "--set", f"initial={initial}",
          "--set", "weak_limit.time=50"],
     ]
-    t = tracer.Tracer()
+    t = DtypeTracer()
     undo = tracer.install(t)
     try:
         for i, argv in enumerate(commands):
@@ -76,6 +86,26 @@ def test_kernel_sites_per_command_equal_the_closed_forms(traced):
     assert sites["scatter"]["quintic"] == window_sum(1, 64)
     assert sites["recover"]["quintic"] == workloads.recover_sites(32)
     assert sites["weak-limit"] == {"constant": window_sum(193, 50)}
+
+
+def test_kernel_dtypes_per_command(traced):
+    # rotation_power walks real data on float buffers; the quintic series
+    # and the packet's complex polarisation stay complex
+    by_id = {s["id"]: s for s in traced.spans}
+    dtypes = {}
+    for s in traced.spans:
+        if s["name"].startswith("coins.kernel."):
+            top = s
+            while top["parent"] is not None:
+                top = by_id[top["parent"]]
+            dtypes.setdefault(top["attrs"]["command"], set()).add(s["attrs"]["dtype"])
+    assert dtypes == {
+        "simulate": {"float64"},
+        "table1": {"float64"},
+        "scatter": {"complex128"},
+        "recover": {"complex128"},
+        "weak-limit": {"complex128"},
+    }
 
 
 def test_evolve_site_steps_equal_the_closed_forms(traced):
