@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from ._schema import validated
-from .state import LatticeState
+from .state import LatticeState, sum_of_squares
 
 __all__ = [
     "UNITARITY_TOL",
@@ -123,20 +123,6 @@ def matrix_kernel(m: np.ndarray) -> Callable[[np.ndarray, np.ndarray], tuple[np.
         return m00 * u1 + m01 * u2, m10 * u1 + m11 * u2
 
     return kern
-
-
-def sum_of_squares(*parts: np.ndarray) -> np.ndarray:
-    """Sum of |z|^2 over the arrays parts, added left to right as
-    re^2 + im^2 of each complex part or x^2 of each real part; the
-    intensities of the coin kernels and the engine's site norms."""
-    total = None
-    for z in parts:
-        for x in (z.real, z.imag) if np.iscomplexobj(z) else (z,):
-            if total is None:
-                total = x**2
-            else:
-                total += x**2
-    return total
 
 
 def _intensity_power(s: np.ndarray, p: int) -> np.ndarray:

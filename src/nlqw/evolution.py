@@ -10,10 +10,13 @@ _FLUSH_STEPS steps the engine zeroes the window's subnormal components
 (magnitude below 2^-1022), which x86 SIMD units handle in slow microcode;
 only values already at the bottom of the float range change.
 
-Every shift in the engine is one of two in-place primitives, shift_into
-and inverse_shift_into, and every walk runs through one step loop,
-walk(), which evolve() and the scattering series drive with their own
-per-step observers.
+Every shift in the engine is the one in-place primitive shift_into; S^{-1}
+is shift_into with the roles of the two components swapped.  Every walk
+runs through one step loop, walk(), which evolve() and the scattering
+series drive with their own per-step observers.  The recorder's site norms
+and their norms are state.site_norms and state.lp_of_norms, the functions
+the state API uses, so a recorded series equals the state-level norm of
+the matching snapshot bit for bit.
 
 evolve() walks on float64 buffers when the coin is real (CoinSpec.real)
 and every imaginary part of u0 is +0, bit for bit; otherwise, and in the
@@ -37,9 +40,15 @@ from .coins import (
     apply_coin,
     coin_kernel,
     require_unitary,
-    sum_of_squares,
 )
-from .state import LatticeState, l2_distance, lp_of_norms, scaled, weak_lp_of_norms
+from .state import (
+    LatticeState,
+    l2_distance,
+    lp_of_norms,
+    scaled,
+    site_norms,
+    weak_lp_of_norms,
+)
 
 __all__ = [
     "Recorder",
@@ -63,21 +72,13 @@ def shift_into(z1, z2, v1, v2, lo: int, hi: int, width: int = 1) -> tuple[int, i
     [lo, hi), where v = (v1, v2) lives (v may view that window); returns the
     new window (lo - width, hi + width), outside which the buffers are zero
     again.  A row is one entry, or `width` entries of flat buffers whose
-    rows each hold `width` runs."""
+    rows each hold `width` runs.  shift_into(z2, z1, v2, v1, lo, hi) is
+    S^{-1}: component 1 moves up, component 2 down."""
     z1[lo - width : hi - width] = v1
     z1[hi - width : hi] = 0.0
     z2[lo + width : hi + width] = v2
     z2[lo : lo + width] = 0.0
     return lo - width, hi + width
-
-
-def inverse_shift_into(z1, z2, v1, v2, lo: int, hi: int) -> tuple[int, int]:
-    """shift_into for S^{-1}: component 1 moves up, component 2 down."""
-    z1[lo + 1 : hi + 1] = v1
-    z1[lo] = 0.0
-    z2[lo - 1 : hi - 1] = v2
-    z2[hi - 1] = 0.0
-    return lo - 1, hi + 1
 
 
 # Steps between subnormal flushes: cadences 4, 16 and 64 all cut the T=5000
@@ -97,29 +98,32 @@ def flush_subnormals(x: np.ndarray) -> None:
         np.multiply(b, 0.0, out=b, where=np.abs(b) < _TINY)
 
 
-def _moved(u: LatticeState, v1, v2, move) -> LatticeState:
-    """move (shift_into or inverse_shift_into) of (v1, v2), a state on u's
-    window, into a fresh window one site wider per side."""
+def _moved(u: LatticeState, v1, v2, inverse: bool = False) -> LatticeState:
+    """S (S^{-1} if inverse) of (v1, v2), a state on u's window, into a
+    fresh window one site wider per side."""
     n = len(u)
     amp = np.zeros((n + 2, 2), dtype=np.complex128)
-    move(amp[:, 0], amp[:, 1], v1, v2, 1, n + 1)
+    if inverse:
+        shift_into(amp[:, 1], amp[:, 0], v2, v1, 1, n + 1)
+    else:
+        shift_into(amp[:, 0], amp[:, 1], v1, v2, 1, n + 1)
     return LatticeState(u.origin - 1, amp)
 
 
 def shift(u: LatticeState) -> LatticeState:
     """S: component 1 moves one site left, component 2 one site right."""
-    return _moved(u, u.amplitudes[:, 0], u.amplitudes[:, 1], shift_into)
+    return _moved(u, u.amplitudes[:, 0], u.amplitudes[:, 1])
 
 
 def inverse_shift(u: LatticeState) -> LatticeState:
     """S^{-1}: component 1 moves right, component 2 moves left."""
-    return _moved(u, u.amplitudes[:, 0], u.amplitudes[:, 1], inverse_shift_into)
+    return _moved(u, u.amplitudes[:, 0], u.amplitudes[:, 1], inverse=True)
 
 
 def step(u: LatticeState, spec: CoinSpec) -> LatticeState:
     """One walk step S C(u) u; the window widens by one site per side."""
     v1, v2 = coin_kernel(spec)(u.amplitudes[:, 0], u.amplitudes[:, 1])
-    return _moved(u, v1, v2, shift_into)
+    return _moved(u, v1, v2)
 
 
 def linear_step(u: LatticeState, c0: np.ndarray) -> LatticeState:
@@ -290,21 +294,6 @@ def walk(
             raise ValueError(f"overflow or invalid value after step {t}") from None
 
 
-def _site_norms(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    """Per-site norms sqrt(|a1|^2 + |a2|^2) from the squared components,
-    for a caller under walk()'s errstate.  Sites whose sum of squares
-    overflows are recomputed by hypot, so a norm is infinite only where it
-    exceeds the float range, and then raises as well."""
-    try:
-        return np.sqrt(sum_of_squares(a1, a2))
-    except FloatingPointError:
-        with np.errstate(over="ignore"):
-            norms = np.sqrt(sum_of_squares(a1, a2))
-        big = np.isinf(norms)
-        norms[big] = np.hypot(np.abs(a1[big]), np.abs(a2[big]))
-        return norms
-
-
 class _Recording:
     """walk() observer that evaluates a Recorder's observables on every
     state u(t) of a lone walk, as the flat window the coin kernel sees, and
@@ -333,11 +322,11 @@ class _Recording:
     def _capture(self, t: int, lo: int, a1: np.ndarray, a2: np.ndarray) -> None:
         rec, v = self.rec, self.values
         if self.need_site_norms:
-            norms = _site_norms(a1, a2)
+            norms = site_norms(a1, a2)
             if rec.sup_norm:
-                v["sup_norm"].append(float(norms.max()))
+                v["sup_norm"].append(lp_of_norms(norms, np.inf))
             for key, p in self.lp:
-                v[key].append(float(norms.max()) if np.isinf(p) else lp_of_norms(norms, p))
+                v[key].append(lp_of_norms(norms, p))
             for key, p in self.weak_lp:
                 v[key].append(weak_lp_of_norms(norms, p))
             if rec.argmax:
@@ -454,8 +443,7 @@ def instability_trace(eps: float, spec: RotationPowerCoin, steps: int) -> np.nda
     """
     a = _stationary_amplitude(spec)
     u0 = LatticeState(0, np.array([[a * (1.0 - eps), 0.0]], dtype=np.complex128))
-    e1, e2 = _left_edge_series(u0, spec, steps)
-    return np.sqrt(np.abs(e1) ** 2 + np.abs(e2) ** 2)
+    return site_norms(*_left_edge_series(u0, spec, steps))
 
 
 def edge_recovery_trace(
@@ -479,4 +467,4 @@ def edge_recovery_trace(
         rows.extend(tail.tolist())
     u0 = LatticeState(0, np.asarray(rows, dtype=np.complex128))
     e1, e2 = _left_edge_series(u0, spec, steps)
-    return np.sqrt(np.abs(e1 - a) ** 2 + np.abs(e2) ** 2)
+    return site_norms(e1 - a, e2)

@@ -34,12 +34,11 @@ from .coins import (
 from .evolution import (
     Recorder,
     evolve,
-    inverse_shift_into,
     linear_step,
     shift_into,
     walk,
 )
-from .state import LatticeState, combine, delta_state, l2_distance
+from .state import LatticeState, combine, delta_state, l2_distance, sum_of_squares
 
 __all__ = [
     "NonConvergenceError",
@@ -122,8 +121,7 @@ class _Residuals:
         e1, e2, tmp = (np.empty_like(a1) for _ in range(3))
         _coin_defect(self.c0, a1, a2, w1, w2, e1, e2, tmp)
         d1, d2 = self.coin_inverse(e1, e2)
-        q = d1.real**2 + d1.imag**2 + d2.real**2 + d2.imag**2
-        self.tails.append(np.sqrt(q.sum()))
+        self.tails.append(np.sqrt(sum_of_squares(d1, d2).sum()))
         _kahan_add(g1[lo:hi], k1[lo:hi], d1)
         _kahan_add(g2[lo:hi], k2[lo:hi], d2)
         # one linear step of accumulator and carry: G <- U0 G, K <- U0 K
@@ -142,9 +140,10 @@ class _Residuals:
                 f"{len(self.tails)} terms"
             )
         g1, g2 = self.g1, self.g2
-        # rotate the accumulated sum back: N = U0^{-terms} G
+        # rotate the accumulated sum back: N = U0^{-terms} G, where S^{-1}
+        # is the shift with the components' roles swapped
         for _ in range(len(self.tails)):
-            lo, hi = inverse_shift_into(g1, g2, g1[lo:hi], g2[lo:hi], lo, hi)
+            lo, hi = shift_into(g2, g1, g2[lo:hi], g1[lo:hi], lo, hi)
             g1[lo:hi], g2[lo:hi] = self.coin_inverse(g1[lo:hi], g2[lo:hi])
         residual = LatticeState(self.base + lo, np.column_stack([g1[lo:hi], g2[lo:hi]]))
         return residual, np.asarray(self.tails)

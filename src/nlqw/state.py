@@ -4,6 +4,11 @@ A state is a map Z -> C^2 stored as a dense window of amplitudes together
 with the lattice coordinate of the first stored site.  Everything outside
 the window is implicitly zero.  Published states are treated as immutable
 values; evolution code works on private buffers and copies on the way out.
+
+The lattice primitives that the state API, the coin kernels and the
+engine share live here, once each: sum_of_squares (|z|^2 summed over
+arrays), site_norms (the C^2 norm of each site) and lp_of_norms and
+weak_lp_of_norms (norms of those site norms).
 """
 
 from __future__ import annotations
@@ -34,6 +39,44 @@ __all__ = [
 STATE_CSV_HEADER = "x,re_u1,im_u1,re_u2,im_u2"
 _CSV_BLOCK = 256  # sites per tolist() block in save_state_csv
 _TINY = np.finfo(np.float64).tiny
+# below this norm a site's squared components may underflow
+_SQRT_TINY = math.sqrt(_TINY)
+
+
+def sum_of_squares(*parts: np.ndarray) -> np.ndarray:
+    """Sum of |z|^2 over the arrays parts, added left to right as
+    re^2 + im^2 of each complex part or x^2 of each real part; the
+    intensities of the coin kernels and the site norms."""
+    total = None
+    for z in parts:
+        for x in (z.real, z.imag) if np.iscomplexobj(z) else (z,):
+            if total is None:
+                total = x**2
+            else:
+                total += x**2
+    return total
+
+
+def site_norms(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """Per-site norms sqrt(|a1|^2 + |a2|^2) of component arrays, real or
+    complex, as the square root of sum_of_squares.
+
+    Two cases are recomputed by hypot, which neither overflows nor
+    underflows: the sites whose sum of squares overflows, so a norm is
+    infinite only where it exceeds the float range (and then that hypot
+    warns or raises under the caller's errstate), and the whole window when
+    its largest norm is below sqrt(tiny), about 1.5e-154, where squares
+    underflow.  The one limit left: a site below about 1.5e-162 next to
+    normal-sized sites squares to 0 and reads 0."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(sum_of_squares(a1, a2))
+    m = norms.max()
+    if m == np.inf:
+        big = np.isinf(norms)
+        norms[big] = np.hypot(np.abs(a1[big]), np.abs(a2[big]))
+    elif m < _SQRT_TINY:
+        norms = np.hypot(np.abs(a1), np.abs(a2))
+    return norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,16 +112,8 @@ class LatticeState:
         return self.origin + np.arange(len(self))
 
     def site_norms(self) -> np.ndarray:
-        """Pointwise C^2 norms ||u(x)|| over the window.  Sites whose sum of
-        squares overflows are recomputed by hypot, so a norm is infinite
-        only where it exceeds the float range."""
-        m1, m2 = np.abs(self.amplitudes[:, 0]), np.abs(self.amplitudes[:, 1])
-        with np.errstate(over="ignore"):
-            norms = np.sqrt(m1**2 + m2**2)
-        big = np.isinf(norms)
-        if big.any():
-            norms[big] = np.hypot(m1[big], m2[big])
-        return norms
+        """Pointwise C^2 norms ||u(x)|| over the window (site_norms)."""
+        return site_norms(self.amplitudes[:, 0], self.amplitudes[:, 1])
 
     def value_at(self, x: int) -> np.ndarray:
         """Amplitude pair at site x, zero outside the window."""
@@ -163,37 +198,26 @@ def scaled(u: LatticeState, c: complex) -> LatticeState:
     return LatticeState(u.origin, complex(c) * u.amplitudes)
 
 
-def _aligned(u: LatticeState, v: LatticeState) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi = _window_union([u, v])
-    a = np.zeros((hi - lo, 2), dtype=np.complex128)
-    b = np.zeros_like(a)
-    a[u.origin - lo : u.origin - lo + len(u)] = u.amplitudes
-    b[v.origin - lo : v.origin - lo + len(v)] = v.amplitudes
-    return a, b
-
-
 def l2_distance(u: LatticeState, v: LatticeState) -> float:
-    a, b = _aligned(u, v)
-    return float(np.linalg.norm((a - b).ravel()))
+    return float(np.linalg.norm(combine([(1, u), (-1, v)]).amplitudes.ravel()))
 
 
 def lp_norm(u: LatticeState, p: float) -> float:
     """l^p norm of the site norms ||u(x)||_{C^2}; p = inf gives the sup."""
     if not (p >= 1):
         raise ValueError("p must be >= 1")
-    norms = u.site_norms()
-    if np.isinf(p):
-        return float(np.max(norms))
-    return lp_of_norms(norms, p)
+    return lp_of_norms(u.site_norms(), p)
 
 
 def lp_of_norms(norms: np.ndarray, p: float) -> float:
-    """lp_norm from precomputed site norms (p finite, already validated):
-    (sum norms^p)^(1/p).  Where that sum overflows or falls below the
-    smallest normal double while some norm is nonzero, the norms are
-    scaled by their maximum m first, m (sum (norms/m)^p)^(1/p), so the
-    norm is infinite only where it exceeds the float range and zero only
-    for the zero state."""
+    """lp_norm from precomputed site norms (p already validated): their
+    maximum for p = inf, else (sum norms^p)^(1/p).  Where that sum
+    overflows or falls below the smallest normal double while some norm is
+    nonzero, the norms are scaled by their maximum m first,
+    m (sum (norms/m)^p)^(1/p), so the norm is infinite only where it
+    exceeds the float range and zero only for the zero state."""
+    if np.isinf(p):
+        return float(norms.max())
     with np.errstate(over="ignore"):
         total = np.sum(norms**p)
     if np.isinf(total) or total < _TINY:

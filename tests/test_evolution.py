@@ -18,6 +18,7 @@ from nlqw import (
     Recorder,
     RotationPowerCoin,
     ThirringCoin,
+    argmax_position,
     c0_from_ab,
     combine,
     delta_state,
@@ -36,6 +37,7 @@ from nlqw import (
     shift,
     soliton_amplitude,
     step,
+    weak_lp_norm,
 )
 from nlqw import evolution
 from nlqw.coins import coin_kernel
@@ -79,7 +81,12 @@ class TestShift:
     @given(u=small_states())
     @settings(max_examples=100, deadline=None)
     def test_round_trip_is_exact(self, u):
-        assert l2_distance(inverse_shift(shift(u)), u) == 0.0
+        # u itself, bit for bit, padded by two zero sites per side
+        padded = np.zeros((len(u) + 4, 2), dtype=np.complex128)
+        padded[2:-2] = u.amplitudes
+        back = inverse_shift(shift(u))
+        assert back.origin == u.origin - 2
+        assert back.amplitudes.tobytes() == padded.tobytes()
 
     @given(u=small_states(), p=st.sampled_from([1.0, 2.0, 4.0, np.inf]))
     @settings(max_examples=100, deadline=None)
@@ -621,6 +628,41 @@ class TestFrozenEngineBitIdentity:
         assert same_state(step(u, spec), evolve(u, spec, 1).final)
 
 
+class TestRecorderAgreesWithStateApi:
+    """A recorded series is the state API's norm of the snapshot at that
+    step, bit for bit: both read state.site_norms."""
+
+    SEEDS = {
+        "delta": delta_state(1, 0),
+        "complex_pair": LatticeState(-1, np.array([[0.6, 0.3j], [-0.2 + 0.5j, 0.4]])),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(SEEDS))
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_recorded_norms_equal_the_snapshot_norms(self, family, seed):
+        steps = 800
+        times = tuple(range(0, steps + 1, 8))
+        rec = Recorder(
+            sup_norm=True, lp=(2.0, np.inf), weak_lp=(4.0,), argmax=True, snapshot_times=times
+        )
+        traj = evolve(self.SEEDS[seed], FAMILIES[family], steps, rec)
+        mismatches = []
+        for t in times:
+            u = traj.snapshots[t]
+            state_api = {
+                "sup_norm": lp_norm(u, np.inf),
+                "lp_2": lp_norm(u, 2.0),
+                "lp_inf": lp_norm(u, np.inf),
+                "weak_lp_4": weak_lp_norm(u, 4.0),
+                "argmax": argmax_position(u),
+            }
+            for key, want in state_api.items():
+                got = traj.series[key][t]
+                if np.float64(got).tobytes() != np.float64(want).tobytes():
+                    mismatches.append((t, key))
+        assert mismatches == []
+
+
 @pytest.fixture
 def buffer_dtypes(monkeypatch):
     """The buffer dtype of every evolve() run, in order."""
@@ -739,6 +781,17 @@ class TestNonFiniteGuard:
         rec = Recorder(sup_norm=True, lp=(700.0,))
         traj = evolve(u0, ConstantCoin(c0_from_ab(R, R)), 200, rec)
         assert (traj.series["lp_700"] >= traj.series["sup_norm"]).all()
+        assert buffer_dtypes == [self.dtype]
+
+    def test_recorder_norms_of_tiny_amplitudes_stay_positive(self, buffer_dtypes):
+        # every square underflows; the site norms fall back to hypot
+        u0 = self.state(0, [[1e-200, 0.0]])
+        rec = Recorder(sup_norm=True, lp=(2.0,), argmax=True)
+        traj = evolve(u0, ConstantCoin(c0_from_ab(0.6, 0.8)), 3, rec)
+        assert traj.series["sup_norm"][0] == traj.series["lp_2"][0] == 1e-200
+        assert (traj.series["sup_norm"] > 0).all()
+        assert traj.series["lp_2"] == pytest.approx(1e-200, rel=1e-15)
+        assert traj.series["argmax"][-1] == argmax_position(traj.final)
         assert buffer_dtypes == [self.dtype]
 
     def test_norm_beyond_the_float_range_names_the_step(self, buffer_dtypes):

@@ -22,6 +22,10 @@ from nlqw import (
     threshold_positions,
     weak_lp_norm,
 )
+from nlqw.state import sum_of_squares
+
+TINY = np.finfo(np.float64).tiny
+SQRT_TINY = np.sqrt(TINY)
 
 finite = st.floats(
     min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False
@@ -189,7 +193,9 @@ class TestSiteNorms:
     @settings(max_examples=50, deadline=None)
     def test_bits_of_the_squared_form(self, u):
         a = u.amplitudes
-        want = np.sqrt(np.abs(a[:, 0]) ** 2 + np.abs(a[:, 1]) ** 2)
+        want = np.sqrt(sum_of_squares(a[:, 0], a[:, 1]))
+        # a window whose largest norm is below sqrt(tiny) is computed by hypot
+        assume(want.max() >= SQRT_TINY)
         assert u.site_norms().tobytes() == want.tobytes()
 
     def test_overflowing_squares_fall_back_to_hypot(self):
@@ -201,6 +207,55 @@ class TestSiteNorms:
         assert norms[1] == np.sqrt(0.6**2 + 0.8**2)
         with pytest.warns(RuntimeWarning, match="overflow"):
             assert np.isinf(LatticeState(0, amp[2:]).site_norms()[0])
+
+    def test_underflowing_window_falls_back_to_hypot(self):
+        # every square underflows to 0, so the squared form alone reads
+        # each of these states as the zero state
+        u = scaled(delta_state(2, 5), 1e-200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lp_norm(u, 2.0) == 1e-200
+            assert lp_norm(u, np.inf) == 1e-200
+            assert weak_lp_norm(u, 4.0) == 1e-200
+        v = scaled(delta_state(1, 3), 1e-200)
+        assert argmax_position(v) == 3
+        t = v.trimmed()
+        assert t.origin == 3 and t.amplitudes.tobytes() == v.amplitudes.tobytes()
+        pair = LatticeState(0, np.array([[3e-200, 4e-200j], [0.0, 0.0]]))
+        assert pair.site_norms().tolist() == [np.hypot(3e-200, 4e-200), 0.0]
+
+    def test_tiny_site_beside_normal_sites_reads_zero(self):
+        # the documented limit: the window's largest norm is normal, so
+        # the squared form applies and 1e-170 squares to 0
+        u = LatticeState(0, np.array([[1.0, 0.0], [1e-170, 0.0]]))
+        assert u.site_norms().tolist() == [1.0, 0.0]
+
+
+class TestScaleCovariance:
+    """Norms of c u for c = 2^k, whose entries scale exactly."""
+
+    @given(u=lattice_states(), k=st.sampled_from([-600, -500, 0, 500]))
+    @settings(max_examples=200, deadline=None)
+    def test_norms_scale_with_the_state(self, u, k):
+        c = 2.0**k
+        entries = np.abs(u.amplitudes.view(np.float64))
+        nonzero = entries[entries != 0.0]
+        for x in (nonzero, nonzero * c):
+            assume(np.all(x >= TINY) and np.all(x < np.inf))
+        v = scaled(u, c)
+        for norm in (
+            lambda w: lp_norm(w, 2.0),
+            lambda w: lp_norm(w, np.inf),
+            lambda w: weak_lp_norm(w, 4.0),
+        ):
+            want = c * norm(u)
+            assert abs(norm(v) - want) <= 4 * np.spacing(want)
+        norms = np.sort(u.site_norms())
+        if norms[-1] > 0:
+            # near-ties may break either way under the last-ulp wobble of
+            # the two norm forms, so only decided maxima are compared
+            assume(len(norms) == 1 or norms[-1] - norms[-2] > 1e-9)
+            assert argmax_position(v) == argmax_position(u)
 
 
 class TestArgmaxPosition:
@@ -307,6 +362,23 @@ class TestWindowInvariants:
     def test_combine_with_negation_cancels(self, u):
         diff = combine([(1.0, u), (-1.0, u)])
         assert lp_norm(diff, 2.0) == 0.0
+
+    @given(u=lattice_states(), v=lattice_states(), zeros=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_l2_distance_bits(self, u, v, zeros):
+        if zeros:  # signed zeros in both states
+            u = LatticeState(u.origin, np.where(u.amplitudes.real < 0, -0.0, u.amplitudes))
+            v = scaled(v, -1.0)
+        # the former form: both states copied onto the union window
+        lo = min(u.origin, v.origin)
+        hi = max(u.origin + len(u), v.origin + len(v))
+        a, b = (np.zeros((hi - lo, 2), dtype=np.complex128) for _ in range(2))
+        a[u.origin - lo : u.origin - lo + len(u)] = u.amplitudes
+        b[v.origin - lo : v.origin - lo + len(v)] = v.amplitudes
+        aligned = np.linalg.norm((a - b).ravel())
+        combined = np.linalg.norm(combine([(1, u), (-1, v)]).amplitudes.ravel())
+        got = np.float64(l2_distance(u, v)).tobytes()
+        assert got == aligned.tobytes() == combined.tobytes()
 
     def test_trimmed_drops_zero_margin(self):
         amp = np.zeros((5, 2), dtype=np.complex128)
