@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import json
 import math
 import os
@@ -120,14 +119,14 @@ def _initial_state(cfg: dict) -> LatticeState:
     return u
 
 
-def _initial_mass(cfg: dict) -> tuple[LatticeState, float]:
-    """The initial state and its mass ||u0||^2, refused when zero: a zero
-    state has no law to compare and no decay to fit."""
+def _nonzero_initial(cfg: dict) -> tuple[LatticeState, float]:
+    """The initial state and its l2 norm, refused when zero: a zero state
+    has no law to compare and no decay to fit."""
     u0 = _initial_state(cfg)
-    mass = float(lp_norm(u0, 2.0)) ** 2
-    if mass == 0.0:
+    norm = lp_norm(u0, 2.0)
+    if norm == 0.0:
         raise ConfigError("initial: the initial state has zero l2 norm")
-    return u0, mass
+    return u0, norm
 
 
 def _coin_of(cfg: dict) -> CoinSpec:
@@ -247,7 +246,6 @@ def _cmd_simulate(cfg: dict, out: str) -> dict:
     rec = _recorder_of(cfg)
 
     traj = evolve(u0, spec, steps, rec)
-    _release_free_heap()
 
     files: list[str] = []
     for name, series in traj.series.items():
@@ -313,7 +311,6 @@ def _cmd_table1(cfg: dict, out: str) -> dict:
         }
 
     results = [run_cell(cell) for cell in cells]
-    _release_free_heap()
 
     rows = (
         ",".join(
@@ -367,7 +364,7 @@ def _cmd_decay(cfg: dict, out: str) -> dict:
         raise ConfigError(
             f"decay.t_min ({t_min}) must be below decay.t_max ({t_max})"
         )
-    u0, _ = _initial_mass(cfg)
+    u0, _ = _nonzero_initial(cfg)
 
     def run_one(run: dict) -> tuple[str, np.ndarray, object]:
         spec = coin_from_json(run["coin"])
@@ -382,7 +379,6 @@ def _cmd_decay(cfg: dict, out: str) -> dict:
     if len(set(labels)) != len(labels):
         raise ConfigError("decay run labels must be unique")
     outputs = [run_one(run) for run in runs]
-    _release_free_heap()
 
     files: list[str] = []
     checks: list[dict] = []
@@ -446,9 +442,11 @@ def _cmd_weak_limit(cfg: dict, out: str) -> dict:
     ks_threshold = sec["ks_threshold"]
     mass_tolerance = sec["mass_tolerance"]
 
-    u0, mass_target = _initial_mass(cfg)
+    u0, norm = _nonzero_initial(cfg)
+    mass_target = norm * norm  # the checks divide by it: it must be normal
+    if not sys.float_info.min <= mass_target < math.inf:
+        raise ConfigError(f"initial: ||u0||^2 = {norm:g}^2 is not a positive normal double")
     traj = evolve(u0, spec, time)
-    _release_free_heap()
     v_grid = np.linspace(-1.0, 1.0, grid_points)
 
     curve = weak_limit_density(u0, a, b, v_grid)
@@ -502,7 +500,6 @@ def _cmd_scatter(cfg: dict, out: str) -> dict:
     u0 = _initial_state(cfg)
 
     report = scattering_series(u0, spec, horizon, sec.get("defect_times"), tol)
-    _release_free_heap()
 
     sampled = {int(t): float(d) for t, d in zip(report.defect_times, report.defect_series)}
 
@@ -547,7 +544,6 @@ def _cmd_recover(cfg: dict, out: str) -> dict:
         )
 
     report = recovery_ladder(spec, lams, t_max)
-    _release_free_heap()
 
     rungs = []
     for res in report.results:
@@ -657,48 +653,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD.  At their 128 KiB defaults
-# the step loops' per-step numpy temporaries are mapped, or trimmed back to
-# the system, and faulted in afresh on every step; glibc raises both on its
-# own only after it frees a block it had mapped, which a command may or may
-# not do before its step loop starts.
-_MALLOPT = ((-3, 1 << 20), (-1, 2 << 20))
-
-
-def _glibc(name: str, argtypes: tuple) -> object | None:
-    """The C library's function `name` with its argument types declared, or
-    None where the library cannot be loaded or has no such function."""
-    try:
-        fn = getattr(ctypes.CDLL(None), name)
-    except (OSError, AttributeError):
-        return None
-    fn.argtypes = argtypes
-    fn.restype = ctypes.c_int
-    return fn
-
-
-def _set_malloc_thresholds() -> None:
-    """Fix glibc's mmap threshold at 1 MiB and its trim threshold at 2 MiB,
-    so blocks up to 1 MiB are reused from the heap.  Setting them again
-    changes nothing; without glibc's mallopt this does nothing."""
-    mallopt = _glibc("mallopt", (ctypes.c_int, ctypes.c_int))
-    if mallopt is not None:
-        for param, value in _MALLOPT:
-            mallopt(param, value)
-
-
-def _release_free_heap() -> None:
-    """Return the heap a finished step loop has freed to the system.
-
-    Under the 2 MiB trim threshold that much stays resident, while the
-    output writers' Python objects live in separately mapped arenas, so
-    without this the writers would lift the peak RSS above the loop's own.
-    Without glibc's malloc_trim this does nothing."""
-    trim = _glibc("malloc_trim", (ctypes.c_size_t,))
-    if trim is not None:
-        trim(0)
-
-
 def _missing_dirs(path: str) -> list[str]:
     """The directories that creating path makes, innermost first."""
     missing = []
@@ -711,7 +665,6 @@ def _missing_dirs(path: str) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    _set_malloc_thresholds()
     made = _missing_dirs(args.out)
     try:
         cfg = _load_config(args.config, args.sets)

@@ -24,10 +24,19 @@ scattering series, on complex128.  The imaginary parts a real walk would
 carry stay exact zeros, so dropping them keeps every nonzero value's
 bits; only the sign of an exact zero may change, +0 where the complex
 loop, with a negative cos(theta) or coin entry, writes -0.
+
+The first walk() of a process fixes glibc's mmap threshold at 1 MiB and
+its trim threshold at 2 MiB (mallopt), for the whole process and every
+caller: at their 128 KiB defaults, which glibc raises only after freeing a
+block it had mapped, the per-step temporaries are mapped and faulted in
+afresh on every step.  The heap is not trimmed afterwards.  Without glibc's
+mallopt nothing is set, and the outputs are the same.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -207,6 +216,21 @@ def _non_finite(kern, a1, a2, site0: int, runs: int, step: int) -> str:
     return f"overflow or invalid value in step {step}{where}"
 
 
+_MALLOPT = ((-3, 1 << 20), (-1, 2 << 20))  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+
+@functools.cache
+def _set_malloc_thresholds() -> None:
+    """mallopt each of _MALLOPT, once per process; without glibc's mallopt,
+    nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    for param, value in _MALLOPT:
+        mallopt(param, value)
+
+
 def walk(
     seeds: list[LatticeState],
     kern: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
@@ -243,6 +267,7 @@ def walk(
     raises ValueError naming the step and the first non-finite coin site;
     in finish, naming the last step.
     """
+    _set_malloc_thresholds()
     origin, n0 = seeds[0].origin, len(seeds[0])
     if any(s.origin != origin or len(s) != n0 for s in seeds):
         raise ValueError("batched seeds must share origin and window length")

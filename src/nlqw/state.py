@@ -199,7 +199,18 @@ def scaled(u: LatticeState, c: complex) -> LatticeState:
 
 
 def l2_distance(u: LatticeState, v: LatticeState) -> float:
-    return float(np.linalg.norm(combine([(1, u), (-1, v)]).amplitudes.ravel()))
+    """l2 norm of u - v; where it overflows, or falls below sqrt(tiny) for
+    a nonzero u - v, it is m ||(u - v)/m||, m the largest real or imaginary
+    part, so it is inf only beyond the float range and 0 only for u = v."""
+    d = combine([(1, u), (-1, v)]).amplitudes.ravel()
+    with np.errstate(over="ignore"):
+        dist = float(np.linalg.norm(d))
+        if dist == math.inf or dist < _SQRT_TINY:
+            parts = d.view(np.float64)
+            m = float(np.abs(parts).max())
+            if m > 0.0:
+                return m * float(np.linalg.norm(parts / m))
+    return dist
 
 
 def lp_norm(u: LatticeState, p: float) -> float:

@@ -9,7 +9,6 @@ import math
 import os
 import subprocess
 import sys
-import types
 import warnings
 
 import numpy as np
@@ -468,6 +467,19 @@ class TestTable1:
         _, rows = read_csv(out / "table1.csv")
         assert rows[0][1] == "0.80000000000000004"
 
+    def test_repeated_cell_is_rejected_before_any_walk(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "evolve", no_walk)
+        cfg = {
+            "schema_version": 1,
+            "table1": {"steps": 10, "cells": [{"p": 1, "g": 0.8}, {"g": 0.8, "p": 1.0}]},
+        }
+        code, out, _ = run("table1", tmp_path, cfg)
+        assert code == 2
+        assert "at table1/cells: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rejects_zero_coupling_cell(self, tmp_path, capsys):
         cfg = {
             "schema_version": 1,
@@ -577,6 +589,56 @@ class TestDecay:
         assert summary is None
         assert not out.exists()
 
+    def test_overflowing_state_exits_two_at_the_step(self, tmp_path, capsys):
+        # the nonlinear coin squares the amplitude, 1e400; no traceback, and
+        # the decay run that did walk leaves no files
+        cfg = {
+            "schema_version": 1,
+            "initial": {"kind": "delta", "scale": 1e200},
+            "decay": {
+                "t_min": 2,
+                "t_max": 20,
+                "runs": [
+                    {"label": "linear", "coin": HADAMARD_COIN},
+                    {
+                        "label": "p1",
+                        "coin": {
+                            "family": "rotation_power", "theta0": math.pi / 4, "g": 0.2, "p": 1
+                        },
+                    },
+                ],
+            },
+        }
+        code, out, _ = run("decay", tmp_path, cfg)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "nlqw: overflow or invalid value in step 1 at site 0\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-170])
+    def test_linear_fit_is_scale_free(self, tmp_path, scale):
+        # decay needs only ||u0|| > 0, not its square
+        def fit_at(scale):
+            cfg = {
+                "schema_version": 1,
+                "initial": {"kind": "delta", "scale": scale},
+                "decay": {
+                    "t_min": 20,
+                    "t_max": 200,
+                    "runs": [{"label": "linear", "coin": HADAMARD_COIN}],
+                },
+            }
+            code, _, summary = run("decay", tmp_path, cfg, out_name=f"out{scale}")
+            assert code == 0
+            return summary["fits"]["linear"]
+
+        unit, other = fit_at(1), fit_at(scale)
+        assert other["slope"] == pytest.approx(unit["slope"], rel=1e-9)
+        assert other["intercept"] - unit["intercept"] == pytest.approx(
+            math.log10(scale), rel=1e-12
+        )
+
 
 class TestWeakLimit:
     def cfg(self, **overrides):
@@ -677,6 +739,35 @@ class TestWeakLimit:
         )
         assert summary is None
         assert not out.exists()
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-160, 1e-170])
+    def test_mass_outside_the_normal_range_is_rejected_before_any_walk(
+        self, tmp_path, capsys, monkeypatch, scale
+    ):
+        # ||u0||^2 overflows at 1e200, is subnormal at 1e-160 and 0 at 1e-170
+        monkeypatch.setattr(cli, "evolve", no_walk)
+        cfg = self.cfg(time=1)
+        cfg["initial"] = {"kind": "delta", "scale": scale}
+        code, out, summary = run("weak-limit", tmp_path, cfg)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"nlqw: initial: ||u0||^2 = {scale:g}^2 is not a positive normal double\n"
+        )
+        assert summary is None
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_checks_hold_across_the_normal_mass_range(self, tmp_path, scale):
+        def summary_at(scale):
+            cfg = self.cfg(time=200, ks_threshold=0.1)
+            cfg["initial"] = {"kind": "delta", "scale": scale}
+            code, _, summary = run("weak-limit", tmp_path, cfg, out_name=f"out{scale}")
+            assert code == 0
+            return summary
+
+        unit, other = summary_at(1), summary_at(scale)
+        assert abs(other["kolmogorov_distance"] - unit["kolmogorov_distance"]) <= 1e-15
+        assert other["density_mass"] == pytest.approx(scale * scale, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize(
         "text, line, reason",
@@ -864,60 +955,6 @@ class TestRecover:
     def test_schema_bounds_lambda_by_half_the_probe_domain(self):
         lambdas = config_schema().root["properties"]["recover"]["properties"]["lambdas"]
         assert lambdas["items"]["maximum"] == nlqw.scattering._PROBE_LAMBDA_MAX / 2
-
-
-class TestAllocatorCalls:
-    def cfg(self):
-        return TestSimulate().soliton_cfg()
-
-    def outputs(self, out):
-        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-
-    def test_thresholds_are_set_and_the_heap_trimmed(self, tmp_path, monkeypatch):
-        calls = []
-
-        def mallopt(param, value):
-            calls.append(("mallopt", param, value))
-            return 1
-
-        def malloc_trim(pad):
-            calls.append(("malloc_trim", pad))
-            return 1
-
-        libc = types.SimpleNamespace(mallopt=mallopt, malloc_trim=malloc_trim)
-        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
-        code, _, _ = run("simulate", tmp_path, self.cfg())
-        assert code == 0
-        # M_MMAP_THRESHOLD = 1 MiB and M_TRIM_THRESHOLD = 2 MiB first; the
-        # heap is trimmed once, after the step loop
-        assert calls == [
-            ("mallopt", -3, 1 << 20),
-            ("mallopt", -1, 2 << 20),
-            ("malloc_trim", 0),
-        ]
-
-    @pytest.mark.parametrize("libc", ["unloadable", "without_functions"])
-    def test_runs_alike_without_the_allocator_calls(self, tmp_path, monkeypatch, libc):
-        _, want, _ = run("simulate", tmp_path, self.cfg(), out_name="want")
-
-        def cdll(name):
-            if libc == "unloadable":
-                raise OSError("no C library")
-            return object()
-
-        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
-        code, got, _ = run("simulate", tmp_path, self.cfg(), out_name="got")
-        assert code == 0
-        assert self.outputs(got) == self.outputs(want)
-
-    def test_calling_twice_is_harmless(self, tmp_path):
-        _, want, _ = run("simulate", tmp_path, self.cfg(), out_name="want")
-        for _ in range(2):
-            cli._set_malloc_thresholds()
-            cli._release_free_heap()
-        code, got, _ = run("simulate", tmp_path, self.cfg(), out_name="got")
-        assert code == 0
-        assert self.outputs(got) == self.outputs(want)
 
 
 class TestNonFiniteGuard:

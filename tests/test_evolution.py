@@ -1,6 +1,11 @@
 """Shift, walk steps, trajectories, and the traveling-edge protocols."""
 
+import ctypes
+import os
 import re
+import subprocess
+import sys
+import types
 import warnings
 
 import numpy as np
@@ -926,3 +931,91 @@ class TestSubnormalFlush:
         for seed, run in zip(seeds, batch):
             (alone,), _ = evolution.walk([seed], kern, steps, _Watch())
             assert same_state(run, alone)
+
+
+class TestMallocThresholds:
+    """walk() fixes glibc's thresholds itself, so a library evolve with no
+    command line around it gets them."""
+
+    @pytest.fixture(autouse=True)
+    def unset(self):
+        evolution._set_malloc_thresholds.cache_clear()
+        yield
+        evolution._set_malloc_thresholds.cache_clear()
+
+    def walk_bytes(self):
+        traj = evolve(weak_limit_packet(), ConstantCoin(C0), 200, Recorder(sup_norm=True))
+        return traj.final.amplitudes.tobytes() + traj.series["sup_norm"].tobytes()
+
+    def test_set_in_order_once_per_process(self, monkeypatch):
+        calls = []
+
+        def cdll(name):
+            calls.append(name)
+            return types.SimpleNamespace(mallopt=lambda *args: calls.append(args))
+
+        monkeypatch.setattr(evolution.ctypes, "CDLL", cdll)
+        for _ in range(3):
+            self.walk_bytes()
+        # M_MMAP_THRESHOLD = 1 MiB, then M_TRIM_THRESHOLD = 2 MiB
+        assert calls == [None, (-3, 1 << 20), (-1, 2 << 20)]
+
+    @pytest.mark.parametrize("libc", ["unloadable", "without_mallopt"])
+    def test_outputs_alike_without_mallopt(self, monkeypatch, libc):
+        want = self.walk_bytes()
+        evolution._set_malloc_thresholds.cache_clear()
+
+        def cdll(name):
+            if libc == "unloadable":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(evolution.ctypes, "CDLL", cdll)
+        assert self.walk_bytes() == want
+
+    def test_setting_them_again_is_harmless(self):
+        want = self.walk_bytes()
+        for _ in range(2):
+            evolution._set_malloc_thresholds.cache_clear()
+            evolution._set_malloc_thresholds()
+        assert self.walk_bytes() == want
+
+
+FAULTS_SCRIPT = """
+import resource
+import numpy as np
+from nlqw import ConstantCoin, LatticeState, c0_from_ab, evolve
+
+x = np.arange(-96, 97)
+env = np.exp(-(x * x) / (4.0 * 24 * 24))
+env /= np.linalg.norm(env)
+pol = np.array([np.cos(1.1), np.exp(2.3j) * np.sin(1.1)])
+u0 = LatticeState(-96, env[:, None] * pol[None, :])
+spec = ConstantCoin(c0_from_ab(2 ** -0.5, 2 ** -0.5))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+evolve(u0, spec, 5000)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not has_mallopt(), reason="the C library has no mallopt")
+def test_fresh_library_walk_reuses_the_heap():
+    # the weak-limit packet's walk, 193 complex sites for 5000 steps, in a
+    # process no earlier work has warmed: at glibc's 128 KiB defaults every
+    # step maps its temporaries afresh, some 47,000 faults in all; with the
+    # thresholds set, about 300
+    src = os.path.dirname(os.path.dirname(evolution.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", FAULTS_SCRIPT],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert int(out.stdout) < 30_000

@@ -258,6 +258,19 @@ class TestScaleCovariance:
             assert argmax_position(v) == argmax_position(u)
 
 
+    @given(u=lattice_states(), v=lattice_states(), k=st.sampled_from([-600, -500, 500]))
+    @settings(max_examples=200, deadline=None)
+    def test_l2_distance_scales_with_the_states(self, u, v, k):
+        c = 2.0**k
+        entries = np.abs(combine([(1, u), (-1, v)]).amplitudes.view(np.float64))
+        nonzero = entries[entries != 0.0]
+        for x in (nonzero, nonzero * c):
+            assume(np.all(x >= TINY) and np.all(x < np.inf))
+        want = c * l2_distance(u, v)
+        got = l2_distance(scaled(u, c), scaled(v, c))
+        assert abs(got - want) <= 4 * np.spacing(want)
+
+
 class TestArgmaxPosition:
     def test_delta(self):
         assert argmax_position(delta_state(1, 7)) == 7
@@ -378,7 +391,29 @@ class TestWindowInvariants:
         aligned = np.linalg.norm((a - b).ravel())
         combined = np.linalg.norm(combine([(1, u), (-1, v)]).amplitudes.ravel())
         got = np.float64(l2_distance(u, v)).tobytes()
-        assert got == aligned.tobytes() == combined.tobytes()
+        assert aligned.tobytes() == combined.tobytes()
+        if aligned >= SQRT_TINY or not (a - b).any():
+            assert got == aligned.tobytes()
+        else:  # squares underflow: scaled by the largest part first
+            parts = (a - b).ravel().view(np.float64)
+            m = np.abs(parts).max()
+            assert got == (m * np.linalg.norm(parts / m)).tobytes()
+
+    @pytest.mark.parametrize(
+        "a, b, scale, want",
+        [
+            (1, 2, 1e160, 1.4142135623730951e160),
+            (1, 1, 1e200, 2e200),  # u = -v
+            (1, 2, 1e-170, 1.4142135623730951e-170),
+            (2, 2, 5e-324, 1e-323),
+        ],
+        ids=["overflow", "overflow-opposite", "underflow", "subnormal"],
+    )
+    def test_l2_distance_outside_the_squares_range(self, a, b, scale, want):
+        u = scaled(delta_state(a, 0), scale)
+        v = scaled(delta_state(b, 0), -scale if a == b else scale)
+        assert l2_distance(u, v) == pytest.approx(want, rel=4e-16, abs=0)
+        assert l2_distance(u, u) == 0.0
 
     def test_trimmed_drops_zero_margin(self):
         amp = np.zeros((5, 2), dtype=np.complex128)

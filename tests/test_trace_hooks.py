@@ -121,3 +121,44 @@ def test_undo_restores_every_hook(traced):
     assert cli.evolve.__name__ == "evolve"
     for module in (evolution, scattering):
         assert module.coin_kernel.__module__ == "nlqw.coins"
+
+
+def test_install_wraps_every_boundary_and_undo_restores_it():
+    modules = (cli, evolution, scattering)
+    before = [dict(vars(m)) for m in modules]
+    undo = tracer.install(tracer.Tracer())  # a missing boundary raises
+    try:
+        wrapped = {
+            f"{m.__name__}.{name}"
+            for m, old in zip(modules, before)
+            for name, value in vars(m).items()
+            if old.get(name) is not value
+        }
+    finally:
+        undo()
+    assert wrapped == {
+        *(f"nlqw.cli.{name}" for name in (
+            "_load_config", "evolve", "scattering_series", "recovery_ladder",
+            "weak_limit_density", "weak_limit_cdf", "save_state_csv",
+            "_write_csv", "_series_csv", "_write_summary", "_write_gnuplot",
+        )),
+        "nlqw.scattering.nonlinear_residual",
+        "nlqw.scattering.linear_step",
+        "nlqw.scattering.coin_kernel",
+        "nlqw.evolution.coin_kernel",
+    }
+    for m, old in zip(modules, before):
+        assert all(vars(m)[name] is value for name, value in old.items())
+
+
+def test_every_command_boundary_is_reached(traced):
+    # of the wrapped names only scattering.nonlinear_residual, a library
+    # entry point, is called by none of the five commands
+    names = {s["name"] for s in traced.spans}
+    assert names == {
+        "cli.main", "cli.config", "cli.write", "evolution.evolve",
+        "scattering.scattering_series", "scattering.recovery_ladder",
+        "scattering.linear_step",
+        "spectral.density", "spectral.cdf", "state.save_state_csv",
+        "coins.kernel.rotation_power", "coins.kernel.quintic", "coins.kernel.constant",
+    }
