@@ -169,9 +169,10 @@ class _Coupled(CoinSpec):
         return float(np.sqrt(abs(self.g)))
 
     def unit_strength(self) -> tuple[CoinSpec, float]:
+        c = self._scale()  # before the test of g, which a tuple g would pass
         if self.g == 0:
             return self, 1.0
-        return replace(self, g=float(np.sign(self.g))), self._scale()
+        return replace(self, g=float(np.sign(self.g))), c
 
 @dataclass(frozen=True, eq=False)
 class ConstantCoin(CoinSpec):
@@ -281,10 +282,15 @@ class ThirringCoin(_Coupled):
 
 @dataclass(frozen=True)
 class RotationPowerCoin(_Coupled):
-    """Rotation by theta0 + g (s1 + s2)^p; g may take either sign."""
+    """Rotation by theta0 + g (s1 + s2)^p; g may take either sign.
+
+    g may also be a tuple of floats, one per run of a lockstep walk: the
+    kernel then reads its flat window as (rows, runs), row after row, and
+    gives each column that run's g, bit for bit its scalar kernel.  Such a
+    coin has no single matrix or coupling scale."""
 
     theta0: float
-    g: float
+    g: float | tuple[float, ...]
     p: int
 
     real = True
@@ -294,26 +300,48 @@ class RotationPowerCoin(_Coupled):
         if isinstance(p, bool) or not (isinstance(p, (int, np.integer)) and p >= 1):
             raise ValueError("p must be a positive integer")
         object.__setattr__(self, "p", int(self.p))
+        if isinstance(self.g, tuple):
+            object.__setattr__(self, "g", tuple(float(g) for g in self.g))
+
+    def _one_g(self) -> float:
+        if isinstance(self.g, tuple):
+            raise ValueError("this needs one coupling g, not one per lockstep run")
+        return self.g
 
     def _linear_part(self) -> np.ndarray:
         return rotation(self.theta0)
 
     def _evaluate(self, s1: float, s2: float) -> np.ndarray:
-        return rotation(self.theta0 + self.g * (s1 + s2) ** self.p)
+        return rotation(self.theta0 + self._one_g() * (s1 + s2) ** self.p)
 
     def _kernel(self):
         theta0, g, p = self.theta0, self.g, self.p
+        if isinstance(g, tuple):
+            runs, tiled = len(g), np.array(g)
+
+            def couple(x: np.ndarray) -> np.ndarray:
+                # each entry's g from one contiguous array, grown as the
+                # window grows: a broadcast over (rows, runs) costs a loop
+                # of `runs` entries per row, six times the product here
+                nonlocal tiled
+                if tiled.size < x.size:
+                    tiled = np.tile(tiled[:runs], 2 * x.size // runs)
+                return tiled[: x.size] * x
+        else:
+
+            def couple(x: np.ndarray) -> np.ndarray:
+                return g * x
 
         def kern_rotpow(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             s = sum_of_squares(u1, u2)
-            th = theta0 + g * _intensity_power(s, p)
+            th = theta0 + couple(_intensity_power(s, p))
             c, sn = np.cos(th), np.sin(th)
             return c * u1 - sn * u2, sn * u1 + c * u2
 
         return kern_rotpow
 
     def _scale(self) -> float:
-        return float(abs(self.g) ** (1.0 / (2.0 * self.p)))
+        return float(abs(self._one_g()) ** (1.0 / (2.0 * self.p)))
 
 
 @dataclass(frozen=True, eq=False)

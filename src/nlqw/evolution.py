@@ -12,11 +12,20 @@ only values already at the bottom of the float range change.
 
 Every shift in the engine is the one in-place primitive shift_into; S^{-1}
 is shift_into with the roles of the two components swapped.  Every walk
-runs through one step loop, walk(), which evolve() and the scattering
-series drive with their own per-step observers.  The recorder's site norms
-and their norms are state.site_norms and state.lp_of_norms, the functions
-the state API uses, so a recorded series equals the state-level norm of
-the matching snapshot bit for bit.
+runs through one step loop, walk(), which evolve(), lockstep_finals() and
+the scattering series drive with their own per-step observers.  The
+recorder's site norms and their norms are state.site_norms and
+state.lp_of_norms, the functions the state API uses, so a recorded series
+equals the state-level norm of the matching snapshot bit for bit.
+
+walk() can advance several runs in lockstep, as the columns of its
+buffers, so that each numpy call of a step serves all of them.  One budget,
+_LOCKSTEP_BYTES (256 KiB per buffer), sets how many runs share a batch for
+every batched caller (lockstep_chunks): table1's cells of one p, and the
+recovery ladder's probe series.  On short windows numpy's per-call cost
+dominates a step, so wide batches pay; once one run's window fills the
+budget, at 10000 steps of a delta walk on float buffers, each run walks
+alone.
 
 evolve() walks on float64 buffers when the coin is real (CoinSpec.real)
 and every imaginary part of u0 is +0, bit for bit; otherwise, and in the
@@ -68,6 +77,8 @@ __all__ = [
     "linear_step",
     "linear_step_inverse",
     "evolve",
+    "lockstep_chunks",
+    "lockstep_finals",
     "soliton_amplitude",
     "period4_amplitude",
     "g_scaling_check",
@@ -101,10 +112,14 @@ _FLUSH_BLOCK = 4096
 
 def flush_subnormals(x: np.ndarray) -> None:
     """Zero in place every subnormal entry of the float array x, keeping its
-    sign; exact zeros, -0.0 included, keep their bits."""
+    sign; exact zeros, -0.0 included, keep their bits.  A block with no
+    subnormal entry is only scanned: the masked multiply is the costly part."""
     for lo in range(0, x.size, _FLUSH_BLOCK):
         b = x[lo : lo + _FLUSH_BLOCK]
-        np.multiply(b, 0.0, out=b, where=np.abs(b) < _TINY)
+        mags = np.abs(b)
+        sub = (mags < _TINY) & (mags > 0.0)
+        if sub.any():
+            np.multiply(b, 0.0, out=b, where=sub)
 
 
 def _moved(u: LatticeState, v1, v2, inverse: bool = False) -> LatticeState:
@@ -249,7 +264,10 @@ def walk(
     the columns of (size, runs) buffers, so kern sees every run's window in
     one call, as the flat (rows * runs,) view of rows [lo, hi).  Observers'
     arithmetic is elementwise or reduces each run on its own, so each run is
-    bit for bit what it would be alone.  An observer has
+    bit for bit what it would be alone, except under the Thirring and
+    Gross-Neveu kernels past 16384 flat complex entries, where numpy's
+    temporary elision may swap the operands of their complex products.
+    An observer has
     - margin: spare buffer sites per side beyond the walk's own;
     - begin(u1, u2, base, lo, hi): the buffers, row 0's site, the seed rows;
     - observe(t, lo, hi, a1, a2, w1, w2): u(t) on rows [lo, hi) and its coin
@@ -317,6 +335,64 @@ def walk(
             return observer.finish(t, lo, hi), snaps
         except FloatingPointError:
             raise ValueError(f"overflow or invalid value after step {t}") from None
+
+
+# Bytes each buffer of one lockstep batch may hold: batches past it ran no
+# faster than their runs one at a time, or slower.
+_LOCKSTEP_BYTES = 256 << 10
+
+
+def lockstep_chunks(
+    runs: list, n0: int, steps: int, dtype: type = np.complex128
+) -> list[list]:
+    """runs, one entry per walk from an n0-site window, cut into equal
+    consecutive lockstep batches for walk(): each at most
+    max(1, _LOCKSTEP_BYTES // row) runs wide, row being the bytes one run's
+    window takes after `steps` steps, n0 + 2 steps entries of dtype."""
+    row = (n0 + 2 * steps) * np.dtype(dtype).itemsize
+    width = max(1, _LOCKSTEP_BYTES // row)
+    chunks = -(-len(runs) // width)
+    size = -(-len(runs) // chunks)
+    return [runs[i : i + size] for i in range(0, len(runs), size)]
+
+
+def _buffer_dtype(spec: CoinSpec, seeds: list[LatticeState]) -> type:
+    """float64 when the coin is real and every imaginary part of the seeds
+    is +0, bit for bit; complex128 otherwise."""
+    real = spec.real and not any(s.amplitudes.imag.view(np.uint64).any() for s in seeds)
+    return np.float64 if real else np.complex128
+
+
+class _Unobserved:
+    """walk() observer for runs that keep only their snapshots."""
+
+    margin = 0
+
+    def begin(self, *buffers) -> None:
+        pass
+
+    def observe(self, *step) -> bool:
+        return False
+
+    def finish(self, *window) -> None:
+        pass
+
+
+def lockstep_finals(
+    seeds: list[LatticeState], spec: CoinSpec, steps: int
+) -> list[LatticeState]:
+    """u(steps) of one walk per seed, advanced in lockstep as the columns of
+    one walk() under spec, whose kernel sees the flat (rows * runs) window:
+    a coin shared by every run, or one with a parameter per run such as a
+    RotationPowerCoin whose g is a tuple.  Buffers are chosen as in evolve,
+    and each final state is the lone evolve(seed, ...).final, bit for bit
+    as far as walk() says."""
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    kern = coin_kernel(spec)
+    dtype = _buffer_dtype(spec, seeds)
+    _, snaps = walk(seeds, kern, steps, _Unobserved(), (steps,), dtype)
+    return [s[steps] for s in snaps]
 
 
 class _Recording:
@@ -405,8 +481,7 @@ def evolve(
         if not 0 <= t <= steps:
             raise ValueError(f"snapshot time {t} is outside [0, {steps}]")
     kern = coin_kernel(spec)
-    real = spec.real and not u0.amplitudes.imag.view(np.uint64).any()
-    dtype = np.float64 if real else np.complex128
+    dtype = _buffer_dtype(spec, [u0])
     traj, (snaps,) = walk([u0], kern, steps, _Recording(u0, rec), rec.snapshot_times, dtype)
     traj.snapshots = snaps
     return traj

@@ -35,6 +35,7 @@ from .evolution import (
     Recorder,
     evolve,
     linear_step,
+    lockstep_chunks,
     shift_into,
     walk,
 )
@@ -217,28 +218,18 @@ class _Pairings:
         return self.sum
 
 
-# Forward-window sites (n0 + 2 t_max per run) one lockstep batch may hold.
-# On short windows numpy's per-call cost dominates, so stacking runs pays;
-# once a batch's buffers outgrow a 2 MiB L2 cache a wide batch runs slower
-# than its runs one at a time.
-_BATCH_SITES = 8192
-
-
 def _lockstep_pairings(
     seeds: list[LatticeState], spec: CoinSpec, t_max: int, k: int
 ) -> np.ndarray:
     """(2, runs) pairings <N, U0^k delta_{j,0}> of full-horizon series from
-    seeds sharing origin and window length, run in equal lockstep chunks
-    within the _BATCH_SITES budget."""
+    seeds sharing origin and window length, run in the equal lockstep
+    batches of evolution.lockstep_chunks."""
     c0 = _series_args(spec, t_max)
     kern = coin_kernel(spec)
-    width = max(1, _BATCH_SITES // (len(seeds[0]) + 2 * t_max))
-    chunks = -(-len(seeds) // width)
-    step = -(-len(seeds) // chunks)
     return np.concatenate(
         [
-            walk(seeds[i : i + step], kern, t_max, _Pairings(c0, k))[0]
-            for i in range(0, len(seeds), step)
+            walk(chunk, kern, t_max, _Pairings(c0, k))[0]
+            for chunk in lockstep_chunks(seeds, len(seeds[0]), t_max)
         ],
         axis=1,
     )
@@ -390,12 +381,13 @@ def _probe_pairs(
     scaled by lambda^{-10}, for each (lambda, row) key.
 
     The series from the one-site seeds w0 and from the three-site seeds
-    U0 w0 run as two lockstep batches of _Pairings; neither series is
-    formed as a state.  The conjugated-minus-plain
-    orientation matters: the series for W* - U0^{-1} W* U0 telescopes to
-    the single t = 0 defect term, so the pairing converges to
-    <(C_hat - I) w0, delta_{j,0}> as lambda -> 0. The opposite orientation
-    converges to its negative.
+    U0 w0 run as two groups of lockstep batches of _Pairings, each group
+    cut by evolution.lockstep_chunks (up to 15 runs a batch at t_max = 512,
+    3 at 2048); neither series is formed as a state.  The
+    conjugated-minus-plain orientation matters: the series for
+    W* - U0^{-1} W* U0 telescopes to the single t = 0 defect term, so the
+    pairing converges to <(C_hat - I) w0, delta_{j,0}> as lambda -> 0.
+    The opposite orientation converges to its negative.
     """
     # <N_base - U0^{-1} N_shift, delta> = <N_base, delta> - <N_shift, U0 delta>
     seeds = [_probe_w0(lam, row) for lam, row in keys]
@@ -553,8 +545,8 @@ def recovery_ladder(
     """Run recover_derivatives down a lambda ladder, sharing probes between
     rungs (the 2 lambda probes of one rung are the lambda probes of the rung
     above), and fit the error order in lambda.  Every distinct probe series
-    of the ladder runs in the same lockstep batches.  The rungs must be
-    distinct, since the order is fitted through one point per rung.
+    of the ladder runs in the same groups of lockstep batches.  The rungs
+    must be distinct, since the order is fitted through one point per rung.
 
     A zero nonlinearity yields exactly zero errors, which cannot be fit;
     the order is reported as inf in that case.

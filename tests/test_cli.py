@@ -17,7 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlqw
-from nlqw import cli, load_state_csv, soliton_amplitude
+from nlqw import (
+    RotationPowerCoin,
+    cli,
+    delta_state,
+    evolution,
+    evolve,
+    load_state_csv,
+    lp_norm,
+    soliton_amplitude,
+)
 from nlqw._schema import Schema, config_schema
 from nlqw.cli import main
 
@@ -58,6 +67,20 @@ def run(command, tmp_path, cfg, *extra, out_name="out"):
 
 def no_walk(*args, **kwargs):
     raise AssertionError("a walk ran")
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """One entry per evolution.walk call, the engine's one step loop."""
+    calls = []
+    walk = evolution.walk
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "walk", counted)
+    return calls
 
 
 def read_csv(path):
@@ -467,10 +490,28 @@ class TestTable1:
         _, rows = read_csv(out / "table1.csv")
         assert rows[0][1] == "0.80000000000000004"
 
-    def test_repeated_cell_is_rejected_before_any_walk(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.setattr(cli, "evolve", no_walk)
+    def test_interleaved_p_gives_the_lone_walk_bytes(self, tmp_path, walks, monkeypatch):
+        cells = [(1, 0.8), (2, -0.8), (1, -1.0), (3, 0.9), (2, 1.0), (1, -0.8), (3, -1.2)]
+        cfg = {
+            "schema_version": 1,
+            "table1": {"steps": 300, "cells": [{"p": p, "g": g} for p, g in cells]},
+        }
+        code, out, summary = run("table1", tmp_path, cfg, out_name="lockstep")
+        assert code in (0, 1)
+        assert walks == [3, 2, 2]  # one lockstep batch per p
+        # a budget too small for two runs walks every cell alone
+        monkeypatch.setattr(evolution, "_LOCKSTEP_BYTES", 0)
+        _, lone, _ = run("table1", tmp_path, cfg, out_name="lone")
+        assert walks[3:] == [1] * len(cells)
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == {
+            f.name: f.read_bytes() for f in lone.iterdir()
+        }
+        for (p, g), cell in zip(cells, summary["cells"]):
+            final = evolve(delta_state(1, 0), RotationPowerCoin(math.pi / 4, g, p), 300).final
+            assert (cell["p"], cell["g"]) == (p, g)
+            assert cell["measured"] == float(lp_norm(final, np.inf))
+
+    def test_repeated_cell_is_rejected_before_any_walk(self, tmp_path, capsys, walks):
         cfg = {
             "schema_version": 1,
             "table1": {"steps": 10, "cells": [{"p": 1, "g": 0.8}, {"g": 0.8, "p": 1.0}]},
@@ -479,15 +520,20 @@ class TestTable1:
         assert code == 2
         assert "at table1/cells: " in capsys.readouterr().err
         assert not out.exists()
+        assert walks == []
 
-    def test_rejects_zero_coupling_cell(self, tmp_path, capsys):
+    def test_zero_coupling_cell_is_rejected_before_any_walk(self, tmp_path, capsys, walks):
         cfg = {
             "schema_version": 1,
-            "table1": {"steps": 10, "cells": [{"p": 1, "g": 0.0}]},
+            "table1": {"steps": 10, "cells": [{"p": 1, "g": 0.8}, {"p": 2, "g": -0.0}]},
         }
-        code, _, _ = run("table1", tmp_path, cfg)
+        code, out, _ = run("table1", tmp_path, cfg)
         assert code == 2
-        capsys.readouterr()
+        assert capsys.readouterr().err == (
+            "nlqw: at table1/cells/1/g: table1 cells need g != 0\n"
+        )
+        assert not out.exists()
+        assert walks == []
 
 
 class TestDecay:

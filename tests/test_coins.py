@@ -458,6 +458,42 @@ class TestUnitStrength:
             quintic(SIGMA_X, SIGMA_Z).unit_strength()
 
 
+class TestLockstepCoupling:
+    GS = (0.8, -0.8, 1.0, -1.3)
+
+    # 4 runs of 1001, 4100 and 8200 rows: flat windows on both sides of
+    # 16384 entries (256 KiB complex) and 32768 (256 KiB float), where
+    # numpy's temporary elision sets in
+    @pytest.mark.parametrize("rows", [1001, 4100, 8200])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_each_column_is_its_scalar_kernel_bitwise(self, rows, p, dtype):
+        rng = np.random.default_rng(rows + p)
+        runs = len(self.GS)
+        u1, u2 = (0.6 * rng.standard_normal(rows * runs) for _ in range(2))
+        if dtype is np.complex128:
+            u1 = u1 + 0.4j * rng.standard_normal(rows * runs)
+            u2 = u2 - 0.4j * rng.standard_normal(rows * runs)
+        kern = coin_kernel(RotationPowerCoin(0.3, self.GS, p))
+        kern(u1[: 3 * runs], u2[: 3 * runs])  # the window grows, as in a walk
+        w1, w2 = kern(u1, u2)
+        assert w1.dtype == w2.dtype == dtype
+        for r, g in enumerate(self.GS):
+            v1, v2 = coin_kernel(RotationPowerCoin(0.3, g, p))(
+                u1[r::runs].copy(), u2[r::runs].copy()
+            )
+            assert w1[r::runs].tobytes() == v1.tobytes()
+            assert w2[r::runs].tobytes() == v2.tobytes()
+
+    def test_tuple_coupling_has_no_matrix_and_no_scale(self):
+        spec = RotationPowerCoin(0.3, (0.8, -1), 2)
+        assert spec.g == (0.8, -1.0) and isinstance(spec.g[1], float)
+        with pytest.raises(ValueError, match="one per lockstep run"):
+            evaluate_coin(spec, 0.1, 0.2)
+        with pytest.raises(ValueError, match="one per lockstep run"):
+            spec.unit_strength()
+
+
 class TestConstruction:
     def test_constant_requires_unitary(self):
         with pytest.raises(ValueError):

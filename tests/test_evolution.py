@@ -887,6 +887,33 @@ class TestSubnormalFlush:
         evolution.flush_subnormals(x)
         assert x.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flush_equals_the_unconditional_masked_multiply(self, seed):
+        # the masked multiply over every block, as the flush did before it
+        # first looked for a subnormal entry
+        def unconditional(x):
+            for lo in range(0, x.size, evolution._FLUSH_BLOCK):
+                b = x[lo : lo + evolution._FLUSH_BLOCK]
+                np.multiply(b, 0.0, out=b, where=np.abs(b) < TINY)
+
+        rng = np.random.default_rng(seed)
+        pool = np.array([0.0, -0.0, 5e-324, -5e-324, TINY / 3, -TINY / 3, TINY, -TINY])
+        n = 5 * evolution._FLUSH_BLOCK + 123
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        picks = rng.random(n) < 0.3
+        x[picks] = rng.choice(pool, picks.sum())
+        # blocks 1 and 3 hold no subnormal, block 2 nothing but zeros
+        block = evolution._FLUSH_BLOCK
+        for b in (1, 3):
+            part = x[b * block : (b + 1) * block]
+            part[(np.abs(part) < TINY) & (part != 0)] = -0.0
+        x[2 * block : 3 * block] = np.where(rng.random(block) < 0.5, 0.0, -0.0)
+        got, want = x.copy(), x.copy()
+        evolution.flush_subnormals(got)
+        unconditional(want)
+        assert got.tobytes() == want.tobytes()
+        assert not ((np.abs(got) < TINY) & (got != 0)).any()
+
     @pytest.mark.parametrize(
         "spec", [ConstantCoin(C0), soliton_spec(-0.6)], ids=["constant", "rotation_power"]
     )
@@ -931,6 +958,63 @@ class TestSubnormalFlush:
         for seed, run in zip(seeds, batch):
             (alone,), _ = evolution.walk([seed], kern, steps, _Watch())
             assert same_state(run, alone)
+
+
+class TestLockstep:
+    GS = (0.8, -0.8, 1.0, -1.0)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_finals_equal_lone_evolve_bitwise(self, p):
+        spec = RotationPowerCoin(np.pi / 4, self.GS, p)
+        finals = evolution.lockstep_finals([delta_state(1, 0)] * 4, spec, 300)
+        for g, got in zip(self.GS, finals):
+            want = evolve(delta_state(1, 0), RotationPowerCoin(np.pi / 4, g, p), 300).final
+            assert got.origin == want.origin
+            assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+    def test_complex_finals_past_16384_flat_sites_equal_lone_evolve(self):
+        # 4 runs of 4205-site windows walk on complex buffers whose flat
+        # window passes 16384 entries; each lone run stays below it
+        seeds = [random_state(5, seed) for seed in range(4)]
+        spec = RotationPowerCoin(0.3, (0.6, -0.5, 1.2, -1.1), 2)
+        finals = evolution.lockstep_finals(seeds, spec, 2100)
+        for seed, g, got in zip(seeds, spec.g, finals):
+            want = evolve(seed, RotationPowerCoin(0.3, g, 2), 2100).final
+            assert got.origin == want.origin
+            assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+    def test_buffers_follow_evolve(self, monkeypatch):
+        seen = []
+        walk = evolution.walk
+
+        def spy(seeds, kern, steps, observer, snapshot_times=(), dtype=np.complex128):
+            seen.append(np.dtype(dtype))
+            return walk(seeds, kern, steps, observer, snapshot_times, dtype)
+
+        monkeypatch.setattr(evolution, "walk", spy)
+        spec = RotationPowerCoin(np.pi / 4, self.GS[:2], 2)
+        evolution.lockstep_finals([delta_state(1, 0)] * 2, spec, 5)
+        imag = with_imag(delta_state(1, 0), 0, 1, 1e-300)
+        evolution.lockstep_finals([delta_state(1, 0), imag], spec, 5)
+        assert seen == [F64, C128]
+
+    @pytest.mark.parametrize(
+        "runs, n0, steps, dtype, widths",
+        [
+            # table1: four cells of one p from delta, on float buffers
+            (4, 1, 2500, np.float64, [4]),
+            (4, 1, 10000, np.float64, [1, 1, 1, 1]),
+            # the recovery ladder: eight one- or three-site complex seeds
+            (8, 1, 512, np.complex128, [8]),
+            (8, 3, 512, np.complex128, [8]),
+            (8, 1, 2048, np.complex128, [3, 3, 2]),
+            (8, 3, 2048, np.complex128, [3, 3, 2]),
+        ],
+    )
+    def test_chunk_widths(self, runs, n0, steps, dtype, widths):
+        chunks = evolution.lockstep_chunks(list(range(runs)), n0, steps, dtype)
+        assert [len(c) for c in chunks] == widths
+        assert sum(chunks, []) == list(range(runs))
 
 
 class TestMallocThresholds:

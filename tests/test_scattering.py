@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import nlqw.evolution as evolution
 import nlqw.scattering as scattering
 from nlqw import (
     ComposedCoin,
@@ -354,8 +355,8 @@ class TestLockstepBatches:
 
     def test_chunked_batches_match_lone_runs(self, monkeypatch):
         seeds = lockstep_seeds(8, 3)
-        # room for three runs per chunk: chunks of 3, 3 and 2
-        monkeypatch.setattr(scattering, "_BATCH_SITES", 3 * (3 + 2 * 21))
+        # room for three complex runs per chunk: chunks of 3, 3 and 2
+        monkeypatch.setattr(evolution, "_LOCKSTEP_BYTES", 3 * (3 + 2 * 21) * 16)
         got = scattering._lockstep_pairings(seeds, QUINTIC, 21, 1)
         assert got.shape == (2, 8)
         for r, seed in enumerate(seeds):
