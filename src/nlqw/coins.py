@@ -125,14 +125,6 @@ def matrix_kernel(m: np.ndarray) -> Callable[[np.ndarray, np.ndarray], tuple[np.
     return kern
 
 
-def _intensity_power(s: np.ndarray, p: int) -> np.ndarray:
-    if p == 1:
-        return s
-    if p == 2:
-        return s * s
-    return s**p
-
-
 class CoinSpec:
     """Base of the coin families.  Each family implements _linear_part,
     _evaluate(s1, s2) (its matrix at those intensities) and _kernel.  The
@@ -144,6 +136,9 @@ class CoinSpec:
     real data on float buffers."""
 
     real = False
+    # the number of lockstep runs a per-run parameter fixes; None for a
+    # coin that any number of runs may share
+    runs: int | None = None
 
     def _derivatives(self) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
@@ -284,10 +279,22 @@ class ThirringCoin(_Coupled):
 class RotationPowerCoin(_Coupled):
     """Rotation by theta0 + g (s1 + s2)^p; g may take either sign.
 
-    g may also be a tuple of floats, one per run of a lockstep walk: the
-    kernel then reads its flat window as (rows, runs), row after row, and
-    gives each column that run's g, bit for bit its scalar kernel.  Such a
-    coin has no single matrix or coupling scale."""
+    g may also be a nonempty tuple of floats, one per run of a lockstep
+    walk: the kernel then reads its flat window as (rows, runs), row after
+    row, and gives each column that run's g, bit for bit its scalar kernel.
+    Such a coin has no single matrix or coupling scale, and walks only with
+    len(g) runs (runs).  Every g must be finite.
+
+    The kernel takes cos and sin only of the moved angles, those whose bits
+    differ from theta0's: on a walk's window the empty parity class and the
+    light-cone tails, where g (s1 + s2)^p vanishes against theta0, leave most
+    angles unmoved.  Those take cos theta0 and sin theta0, computed once by
+    the same numpy loops, so the outputs are the plain kernel's bit for bit.
+    A window whose every angle moved takes cos and sin whole.  The angles,
+    cos, sin and one product temporary live in scratch the kernel owns,
+    grown to twice the window when a wider one comes; the two outputs are
+    fresh arrays.  The kernel is therefore not reentrant: one thread calls
+    it at a time.  Windows are float64 or complex128, the engine's buffers."""
 
     theta0: float
     g: float | tuple[float, ...]
@@ -301,7 +308,15 @@ class RotationPowerCoin(_Coupled):
             raise ValueError("p must be a positive integer")
         object.__setattr__(self, "p", int(self.p))
         if isinstance(self.g, tuple):
+            if not self.g:
+                raise ValueError("a tuple g needs one coupling per lockstep run, got none")
             object.__setattr__(self, "g", tuple(float(g) for g in self.g))
+        if not np.isfinite(self.g).all():
+            raise ValueError(f"g must be finite, got {self.g}")
+
+    @property
+    def runs(self) -> int | None:
+        return len(self.g) if isinstance(self.g, tuple) else None
 
     def _one_g(self) -> float:
         if isinstance(self.g, tuple):
@@ -316,27 +331,67 @@ class RotationPowerCoin(_Coupled):
 
     def _kernel(self):
         theta0, g, p = self.theta0, self.g, self.p
-        if isinstance(g, tuple):
-            runs, tiled = len(g), np.array(g)
+        runs = len(g) if isinstance(g, tuple) else 0
+        # an angle whose bits are theta0's takes cos and sin of theta0, from
+        # the loops that every other angle goes through
+        at0 = np.array([theta0], dtype=np.float64)
+        bits0 = at0.view(np.uint64)[0]
+        cos0, sin0 = np.cos(at0)[0], np.sin(at0)[0]
+        cap, block, prod, tiled = -1, None, None, None
 
-            def couple(x: np.ndarray) -> np.ndarray:
-                # each entry's g from one contiguous array, grown as the
-                # window grows: a broadcast over (rows, runs) costs a loop
-                # of `runs` entries per row, six times the product here
-                nonlocal tiled
-                if tiled.size < x.size:
-                    tiled = np.tile(tiled[:runs], 2 * x.size // runs)
-                return tiled[: x.size] * x
-        else:
-
-            def couple(x: np.ndarray) -> np.ndarray:
-                return g * x
+        def grow(n: int) -> None:
+            # scratch for windows up to 2n entries: the angles, cos and sin
+            # as rows of one block, the product temporary (complex, which a
+            # float window views as floats) and a tuple g tiled row after row
+            nonlocal cap, block, prod, tiled
+            cap = 2 * n
+            block = np.empty((3, cap))
+            prod = np.empty(cap, dtype=np.complex128)
+            if runs:
+                tiled = np.tile(np.array(g), -(-cap // runs))
 
         def kern_rotpow(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            s = sum_of_squares(u1, u2)
-            th = theta0 + couple(_intensity_power(s, p))
-            c, sn = np.cos(th), np.sin(th)
-            return c * u1 - sn * u2, sn * u1 + c * u2
+            n = u1.size
+            if n > cap:
+                grow(n)
+            th, c, sn = block[:, :n]
+            sum_of_squares(u1, u2, out=th)
+            if p == 2:
+                np.multiply(th, th, out=th)
+            elif p > 2:
+                np.power(th, p, out=th)
+            if runs:
+                # each entry's g from one contiguous array: a broadcast over
+                # (rows, runs) costs a loop of `runs` entries per row
+                np.multiply(tiled[:n], th, out=th)
+            else:
+                np.multiply(g, th, out=th)
+            np.add(theta0, th, out=th)
+            moved = np.flatnonzero(th.view(np.uint64) != bits0)
+            k = moved.size
+            if k == n:
+                np.cos(th, out=c)
+                np.sin(th, out=sn)
+            else:
+                # cos and sin of the k moved angles, gathered into the
+                # product temporary, which the products overwrite later
+                flat = prod.view(np.float64)
+                at, trig = flat[:k], flat[k : 2 * k]
+                np.take(th, moved, out=at)
+                c.fill(cos0)
+                sn.fill(sin0)
+                c[moved] = np.cos(at, out=trig)
+                sn[moved] = np.sin(at, out=trig)
+            dt = np.result_type(u1, u2, c)
+            tmp = prod.view(dt)[:n]
+            v1, v2 = np.empty(n, dt), np.empty(n, dt)
+            np.multiply(c, u1, out=v1)
+            np.multiply(sn, u2, out=tmp)
+            np.subtract(v1, tmp, out=v1)
+            np.multiply(sn, u1, out=v2)
+            np.multiply(c, u2, out=tmp)
+            np.add(v2, tmp, out=v2)
+            return v1, v2
 
         return kern_rotpow
 
@@ -416,6 +471,10 @@ class ComposedCoin(CoinSpec):
     @property
     def real(self) -> bool:
         return self.inner.real and not self.c0.imag.any()
+
+    @property
+    def runs(self) -> int | None:
+        return self.inner.runs
 
     def _linear_part(self) -> np.ndarray:
         return self.c0 @ linear_part(self.inner)

@@ -16,7 +16,8 @@ runs through one step loop, walk(), which evolve(), lockstep_finals() and
 the scattering series drive with their own per-step observers.  The
 recorder's site norms and their norms are state.site_norms and
 state.lp_of_norms, the functions the state API uses, so a recorded series
-equals the state-level norm of the matching snapshot bit for bit.
+equals the state-level norm of the matching snapshot bit for bit; a lone
+sup_norm series is state.max_site_norm, the same bits with one root.
 
 walk() can advance several runs in lockstep, as the columns of its
 buffers, so that each numpy call of a step serves all of them.  One budget,
@@ -63,6 +64,7 @@ from .state import (
     LatticeState,
     l2_distance,
     lp_of_norms,
+    max_site_norm,
     scaled,
     site_norms,
     weak_lp_of_norms,
@@ -356,6 +358,15 @@ def lockstep_chunks(
     return [runs[i : i + size] for i in range(0, len(runs), size)]
 
 
+def _lockstep_kernel(spec: CoinSpec, runs: int):
+    """coin_kernel(spec) for a walk of `runs` runs in lockstep; a coin with
+    one parameter per run (spec.runs) is refused unless it has `runs`."""
+    kern = coin_kernel(spec)
+    if spec.runs not in (None, runs):
+        raise ValueError(f"the coin has couplings for {spec.runs} lockstep runs, not {runs}")
+    return kern
+
+
 def _buffer_dtype(spec: CoinSpec, seeds: list[LatticeState]) -> type:
     """float64 when the coin is real and every imaginary part of the seeds
     is +0, bit for bit; complex128 otherwise."""
@@ -384,12 +395,13 @@ def lockstep_finals(
     """u(steps) of one walk per seed, advanced in lockstep as the columns of
     one walk() under spec, whose kernel sees the flat (rows * runs) window:
     a coin shared by every run, or one with a parameter per run such as a
-    RotationPowerCoin whose g is a tuple.  Buffers are chosen as in evolve,
-    and each final state is the lone evolve(seed, ...).final, bit for bit
-    as far as walk() says."""
+    RotationPowerCoin whose g is a tuple of len(seeds) couplings; another
+    count is refused before any step, as evolve refuses any but one.
+    Buffers are chosen as in evolve, and each final state is the lone
+    evolve(seed, ...).final, bit for bit as far as walk() says."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    kern = coin_kernel(spec)
+    kern = _lockstep_kernel(spec, len(seeds))
     dtype = _buffer_dtype(spec, seeds)
     _, snaps = walk(seeds, kern, steps, _Unobserved(), (steps,), dtype)
     return [s[steps] for s in snaps]
@@ -398,13 +410,19 @@ def lockstep_finals(
 class _Recording:
     """walk() observer that evaluates a Recorder's observables on every
     state u(t) of a lone walk, as the flat window the coin kernel sees, and
-    builds the Trajectory."""
+    builds the Trajectory.
+
+    lp, weak_lp and argmax read state.site_norms once per step, and
+    sup_norm with them.  When sup_norm is the only one asked for, as in
+    simulate's and decay's runs, it is state.max_site_norm instead: the
+    square root of the largest sum of squares, one root per step rather
+    than one per site, and the same bits."""
 
     margin = 0
 
     def __init__(self, u0: LatticeState, rec: Recorder) -> None:
         self.u0, self.rec = u0, rec
-        self.need_site_norms = bool(rec.sup_norm or rec.lp or rec.weak_lp or rec.argmax)
+        self.need_site_norms = bool(rec.lp or rec.weak_lp or rec.argmax)
         # (series key, exponent) pairs; the Recorder keeps the keys distinct
         self.lp = [(_series_key("lp", p), p) for p in rec.lp]
         self.weak_lp = [(_series_key("weak_lp", p), p) for p in rec.weak_lp]
@@ -432,6 +450,8 @@ class _Recording:
                 v[key].append(weak_lp_of_norms(norms, p))
             if rec.argmax:
                 v["argmax"].append(self.base + lo + int(np.argmax(norms)))
+        elif rec.sup_norm:
+            v["sup_norm"].append(max_site_norm(a1, a2))
         if rec.threshold is not None:
             comp = a1 if rec.threshold_component == 1 else a2
             mags = np.abs(comp)
@@ -480,7 +500,7 @@ def evolve(
     for t in rec.snapshot_times:
         if not 0 <= t <= steps:
             raise ValueError(f"snapshot time {t} is outside [0, {steps}]")
-    kern = coin_kernel(spec)
+    kern = _lockstep_kernel(spec, 1)
     dtype = _buffer_dtype(spec, [u0])
     traj, (snaps,) = walk([u0], kern, steps, _Recording(u0, rec), rec.snapshot_times, dtype)
     traj.snapshots = snaps

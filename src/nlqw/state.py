@@ -7,8 +7,9 @@ values; evolution code works on private buffers and copies on the way out.
 
 The lattice primitives that the state API, the coin kernels and the
 engine share live here, once each: sum_of_squares (|z|^2 summed over
-arrays), site_norms (the C^2 norm of each site) and lp_of_norms and
-weak_lp_of_norms (norms of those site norms).
+arrays), site_norms (the C^2 norm of each site), max_site_norm (their
+maximum, with one square root) and lp_of_norms and weak_lp_of_norms
+(norms of those site norms).
 """
 
 from __future__ import annotations
@@ -43,15 +44,16 @@ _TINY = np.finfo(np.float64).tiny
 _SQRT_TINY = math.sqrt(_TINY)
 
 
-def sum_of_squares(*parts: np.ndarray) -> np.ndarray:
+def sum_of_squares(*parts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sum of |z|^2 over the arrays parts, added left to right as
     re^2 + im^2 of each complex part or x^2 of each real part; the
-    intensities of the coin kernels and the site norms."""
+    intensities of the coin kernels and the site norms.  out, a float64
+    array of the parts' shape, receives the sum if given."""
     total = None
     for z in parts:
-        for x in (z.real, z.imag) if np.iscomplexobj(z) else (z,):
+        for x in (z.real, z.imag) if z.dtype.kind == "c" else (z,):
             if total is None:
-                total = x**2
+                total = np.square(x, out=out)
             else:
                 total += x**2
     return total
@@ -77,6 +79,18 @@ def site_norms(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     elif m < _SQRT_TINY:
         norms = np.hypot(np.abs(a1), np.abs(a2))
     return norms
+
+
+def max_site_norm(a1: np.ndarray, a2: np.ndarray) -> float:
+    """max(site_norms(a1, a2)) with one square root: sqrt of the largest
+    sum_of_squares, which is bit for bit the same, sqrt being monotone and
+    correctly rounded.  Where that maximum is infinite or below sqrt(tiny),
+    the cases site_norms recomputes by hypot, it is read from site_norms."""
+    with np.errstate(over="ignore"):
+        m = math.sqrt(sum_of_squares(a1, a2).max())
+    if _SQRT_TINY <= m < math.inf:
+        return m
+    return float(site_norms(a1, a2).max())
 
 
 @dataclass(frozen=True, eq=False)

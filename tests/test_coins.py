@@ -1,5 +1,7 @@
 """Coin families: construction, unitarity, deviations, and JSON forms."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from nlqw import (
     ComposedCoin,
     ConstantCoin,
     GaltonCoin,
+    Recorder,
     GrossNeveuCoin,
     QuinticExponentialCoin,
     RotationPowerCoin,
@@ -19,6 +22,7 @@ from nlqw import (
     combine,
     delta_state,
     evaluate_coin,
+    evolve,
     l2_distance,
     linear_part,
     nonlinear_deviation,
@@ -494,6 +498,104 @@ class TestLockstepCoupling:
             spec.unit_strength()
 
 
+def reference_rotation_power_kernel(theta0, g, p):
+    """The rotation_power kernel as plain numpy: np.cos and np.sin of every
+    angle, on fresh temporaries."""
+    runs = len(g) if isinstance(g, tuple) else 0
+
+    def kern(u1, u2):
+        s = None
+        for z in (u1, u2):
+            for x in (z.real, z.imag) if z.dtype.kind == "c" else (z,):
+                s = x**2 if s is None else s + x**2
+        x = s if p == 1 else s * s if p == 2 else s**p
+        th = theta0 + (np.tile(np.array(g), u1.size // runs) * x if runs else g * x)
+        c, sn = np.cos(th), np.sin(th)
+        return c * u1 - sn * u2, sn * u1 + c * u2
+
+    return kern
+
+
+@functools.cache
+def delta_walk_windows():
+    """Flat float windows of a delta walk: the empty parity class, the
+    light-cone tails and the moved centre, on both sides of 16384 sites."""
+    spec = RotationPowerCoin(np.pi / 4, -0.8, 2)
+    times = (40, 3000, 8200)
+    traj = evolve(delta_state(1, 0), spec, times[-1], Recorder(snapshot_times=times))
+    return [traj.snapshots[t].amplitudes.real.T.copy() for t in times]
+
+
+def kernel_windows(g, dtype):
+    """(name, u1, u2) windows of len(g) lockstep runs (one for a scalar g),
+    each flat, row after row: delta-walk windows, dense random windows of
+    either side of 16384 entries, and all-zero ones."""
+    runs = len(g) if isinstance(g, tuple) else 1
+    rng = np.random.default_rng(runs)
+    out = []
+    for u1, u2 in delta_walk_windows():
+        out.append(("delta", np.repeat(u1, runs), np.repeat(u2, runs)))
+    for n in (16000 // runs * runs, 16800 // runs * runs, 6 * runs):
+        out.append(("dense", 0.7 * rng.standard_normal(n), 0.7 * rng.standard_normal(n)))
+    out.append(("zero", np.zeros(4 * runs), np.full(4 * runs, -0.0)))
+    if dtype is np.complex128:
+        rot = np.exp(0.3j)
+        out = [(name, u1 * rot, u2 - 0.5j * u1) for name, u1, u2 in out]
+    return out
+
+
+class TestMovedAngleKernel:
+    """The kernel takes cos and sin only of the angles that differ from
+    theta0 in some bit; every output equals the plain kernel's bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "g", [0.8, -0.6, (0.8, -0.8), (0.5, -1.0, 0.3), (1.0, -0.8, 0.6, -1.3)]
+    )
+    @pytest.mark.parametrize("theta0", [np.pi / 4, 2.5, 0.0, -0.0])
+    def test_equals_the_plain_kernel_bitwise(self, theta0, g, p, dtype):
+        kern = coin_kernel(RotationPowerCoin(theta0, g, p))
+        ref = reference_rotation_power_kernel(theta0, g, p)
+        for name, u1, u2 in kernel_windows(g, dtype):
+            got, want = kern(u1, u2), ref(u1, u2)
+            for w, v in zip(got, want):
+                assert w.dtype == v.dtype, name
+                assert w.tobytes() == v.tobytes(), (name, u1.size)
+
+    def test_unmoved_angles_keep_the_sign_of_zero(self):
+        # theta0 = -0.0: g * 0 = -0.0 leaves the angle at -0.0 (sin -0.0),
+        # g * 0 = +0.0 moves it to +0.0 (sin +0.0)
+        z = np.zeros(3)
+        for g in (-1.0, 1.0):
+            v1, v2 = coin_kernel(RotationPowerCoin(-0.0, g, 1))(z, z)
+            w1, w2 = reference_rotation_power_kernel(-0.0, g, 1)(z, z)
+            assert v1.tobytes() == w1.tobytes() and v2.tobytes() == w2.tobytes()
+
+    @pytest.mark.parametrize("g", [-0.8, (0.8, -0.8, 1.0)])
+    def test_growing_and_shrinking_windows_leave_earlier_outputs_intact(self, g):
+        runs = len(g) if isinstance(g, tuple) else 1
+        kern = coin_kernel(RotationPowerCoin(np.pi / 4, g, 2))
+        ref = reference_rotation_power_kernel(np.pi / 4, g, 2)
+        rng = np.random.default_rng(7)
+        kept = []
+        for rows, dtype in [
+            (1, np.float64), (50, np.float64), (3000, np.complex128),
+            (20000, np.float64), (700, np.complex128), (2, np.float64),
+            (21000, np.complex128), (1, np.complex128),
+        ]:
+            u1, u2 = (0.6 * rng.standard_normal(rows * runs) for _ in range(2))
+            u1[::2] = 0.0
+            if dtype is np.complex128:
+                u1 = u1 + 0.2j * u2
+            got = kern(u1, u2)
+            want = ref(u1, u2)
+            assert [w.tobytes() for w in got] == [v.tobytes() for v in want]
+            kept.append((got, [w.copy() for w in got]))
+        for got, copies in kept:
+            assert [w.tobytes() for w in got] == [c.tobytes() for c in copies]
+
+
 class TestConstruction:
     def test_constant_requires_unitary(self):
         with pytest.raises(ValueError):
@@ -502,6 +604,25 @@ class TestConstruction:
     def test_rotation_power_requires_positive_integer_p(self):
         with pytest.raises(ValueError):
             RotationPowerCoin(0.0, 0.5, 0)
+
+    @pytest.mark.parametrize(
+        "g, match",
+        [
+            ((), "one coupling per lockstep run"),
+            ((0.8, np.nan), "g must be finite"),
+            ((np.inf,), "g must be finite"),
+            (-np.inf, "g must be finite"),
+        ],
+    )
+    def test_rotation_power_refuses_an_empty_or_non_finite_g(self, g, match):
+        with pytest.raises(ValueError, match=match):
+            RotationPowerCoin(0.3, g, 2)
+
+    def test_run_count_of_a_coin(self):
+        assert RotationPowerCoin(0.3, (0.8, -0.8), 2).runs == 2
+        assert RotationPowerCoin(0.3, -0.8, 2).runs is None
+        assert ComposedCoin(rotation(0.1), RotationPowerCoin(0.3, (0.8,), 1)).runs == 1
+        assert ConstantCoin(rotation(0.2)).runs is None
 
     def test_quintic_requires_hermitian(self):
         bad = np.array([[0.0, 1.0], [0.5, 0.0]], dtype=np.complex128)

@@ -668,6 +668,49 @@ class TestRecorderAgreesWithStateApi:
         assert mismatches == []
 
 
+class TestSupOnlyRecorder:
+    """A recorder whose only norm series is sup_norm reads it as
+    sqrt(max sum_of_squares), bit for bit the full recorder's value."""
+
+    SQRT_TINY = np.sqrt(np.finfo(np.float64).tiny)
+
+    # norms about 2^k: k <= -512 falls below sqrt(tiny) and k >= 512 squares
+    # past the float range, the two cases read from site_norms; the
+    # rotation_power kernel's own intensity overflows at k >= 512
+    SCALES = [-1070, -600, -530, -512, -511, -300, 0]
+
+    @pytest.mark.parametrize(
+        "family, k",
+        [("constant", k) for k in SCALES + [300, 511, 512, 600, 1000]]
+        + [("rotation_power", k) for k in SCALES],
+    )
+    def test_equals_the_full_recorder_bitwise(self, family, k):
+        u0 = scaled(random_state(6, k & 0xFFFF), 2.0**k)
+        spec = FAMILIES[family]
+        full = evolve(u0, spec, 40, Recorder(sup_norm=True, lp=(2.0,), argmax=True))
+        lean = evolve(u0, spec, 40, Recorder(sup_norm=True))
+        assert lean.series["sup_norm"].tobytes() == full.series["sup_norm"].tobytes()
+        assert lean.final.amplitudes.tobytes() == full.final.amplitudes.tobytes()
+
+    def test_the_scales_reach_both_fallbacks(self):
+        def root_of_max(k):
+            amp = scaled(random_state(6, k & 0xFFFF), 2.0**k).amplitudes
+            with np.errstate(over="ignore"):
+                return np.sqrt((amp.real**2 + amp.imag**2).sum(axis=1).max())
+
+        assert root_of_max(-512) < self.SQRT_TINY <= root_of_max(-511)
+        assert root_of_max(511) < np.inf == root_of_max(512)
+
+    def test_normal_data_takes_no_per_site_root(self, monkeypatch):
+        def no_site_norms(*args):
+            raise AssertionError("site_norms was called")
+
+        monkeypatch.setattr(evolution, "site_norms", no_site_norms)
+        monkeypatch.setattr("nlqw.state.site_norms", no_site_norms)
+        traj = evolve(random_state(6, 1), soliton_spec(), 30, Recorder(sup_norm=True))
+        assert traj.series["sup_norm"].size == 31
+
+
 @pytest.fixture
 def buffer_dtypes(monkeypatch):
     """The buffer dtype of every evolve() run, in order."""
@@ -982,6 +1025,26 @@ class TestLockstep:
             want = evolve(seed, RotationPowerCoin(0.3, g, 2), 2100).final
             assert got.origin == want.origin
             assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+    def test_a_mismatched_run_count_is_refused_before_any_step(self, monkeypatch):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("a walk ran")
+
+        monkeypatch.setattr(evolution, "walk", no_walk)
+        seeds = [random_state(2, seed) for seed in range(3)]
+        spec = RotationPowerCoin(np.pi / 4, (0.8, -0.8), 2)
+        with pytest.raises(ValueError, match="couplings for 2 lockstep runs, not 3"):
+            evolution.lockstep_finals(seeds, spec, 10)
+        with pytest.raises(ValueError, match="couplings for 2 lockstep runs, not 1"):
+            evolve(seeds[0], spec, 10)
+        with pytest.raises(ValueError, match="couplings for 2 lockstep runs, not 1"):
+            evolve(seeds[0], ComposedCoin(C0, spec), 10)
+
+    def test_a_one_run_tuple_is_its_scalar_coin(self):
+        u0 = random_state(2, 5)
+        one = evolve(u0, RotationPowerCoin(np.pi / 4, (-0.8,), 2), 50).final
+        want = evolve(u0, RotationPowerCoin(np.pi / 4, -0.8, 2), 50).final
+        assert one.amplitudes.tobytes() == want.amplitudes.tobytes()
 
     def test_buffers_follow_evolve(self, monkeypatch):
         seen = []
