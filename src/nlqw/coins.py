@@ -290,11 +290,11 @@ class RotationPowerCoin(_Coupled):
     light-cone tails, where g (s1 + s2)^p vanishes against theta0, leave most
     angles unmoved.  Those take cos theta0 and sin theta0, computed once by
     the same numpy loops, so the outputs are the plain kernel's bit for bit.
-    A window whose every angle moved takes cos and sin whole.  The angles,
-    cos, sin and one product temporary live in scratch the kernel owns,
-    grown to twice the window when a wider one comes; the two outputs are
-    fresh arrays.  The kernel is therefore not reentrant: one thread calls
-    it at a time.  Windows are float64 or complex128, the engine's buffers."""
+    The angles, cos, sin and one product temporary live in scratch the
+    kernel owns, grown to twice the window when a wider one comes; the two
+    outputs are fresh arrays.  The kernel is therefore not reentrant: one
+    thread calls it at a time.  Windows are float64 or complex128, the
+    engine's buffers."""
 
     theta0: float
     g: float | tuple[float, ...]
@@ -369,19 +369,16 @@ class RotationPowerCoin(_Coupled):
             np.add(theta0, th, out=th)
             moved = np.flatnonzero(th.view(np.uint64) != bits0)
             k = moved.size
-            if k == n:
-                np.cos(th, out=c)
-                np.sin(th, out=sn)
-            else:
-                # cos and sin of the k moved angles, gathered into the
-                # product temporary, which the products overwrite later
-                flat = prod.view(np.float64)
-                at, trig = flat[:k], flat[k : 2 * k]
-                np.take(th, moved, out=at)
-                c.fill(cos0)
-                sn.fill(sin0)
-                c[moved] = np.cos(at, out=trig)
-                sn[moved] = np.sin(at, out=trig)
+            # cos and sin of the k moved angles, gathered into the product
+            # temporary, which the products overwrite later; the indices are
+            # in range, and mode="clip" writes `at` unbuffered
+            flat = prod.view(np.float64)
+            at, trig = flat[:k], flat[k : 2 * k]
+            np.take(th, moved, out=at, mode="clip")
+            c.fill(cos0)
+            sn.fill(sin0)
+            c[moved] = np.cos(at, out=trig)
+            sn[moved] = np.sin(at, out=trig)
             dt = np.result_type(u1, u2, c)
             tmp = prod.view(dt)[:n]
             v1, v2 = np.empty(n, dt), np.empty(n, dt)
@@ -533,8 +530,16 @@ def coin_kernel(spec: CoinSpec) -> Callable[[np.ndarray, np.ndarray], tuple[np.n
     return _family(spec)._kernel()
 
 
+def check_runs(spec: CoinSpec, runs: int) -> None:
+    """Refuse a coin with one parameter per lockstep run (spec.runs) for a
+    walk or application over any other number of runs."""
+    if spec.runs not in (None, runs):
+        raise ValueError(f"the coin has couplings for {spec.runs} lockstep runs, not {runs}")
+
+
 def apply_coin(spec: CoinSpec, u: LatticeState) -> LatticeState:
     """Apply the coin pointwise; the window is unchanged."""
+    check_runs(spec, 1)
     kern = coin_kernel(spec)
     v1, v2 = kern(u.amplitudes[:, 0], u.amplitudes[:, 1])
     return LatticeState(u.origin, np.column_stack([v1, v2]))

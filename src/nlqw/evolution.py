@@ -57,6 +57,7 @@ from .coins import (
     ConstantCoin,
     RotationPowerCoin,
     apply_coin,
+    check_runs,
     coin_kernel,
     require_unitary,
 )
@@ -148,7 +149,7 @@ def inverse_shift(u: LatticeState) -> LatticeState:
 
 def step(u: LatticeState, spec: CoinSpec) -> LatticeState:
     """One walk step S C(u) u; the window widens by one site per side."""
-    v1, v2 = coin_kernel(spec)(u.amplitudes[:, 0], u.amplitudes[:, 1])
+    v1, v2 = _lockstep_kernel(spec, 1)(u.amplitudes[:, 0], u.amplitudes[:, 1])
     return _moved(u, v1, v2)
 
 
@@ -361,10 +362,8 @@ def lockstep_chunks(
 def _lockstep_kernel(spec: CoinSpec, runs: int):
     """coin_kernel(spec) for a walk of `runs` runs in lockstep; a coin with
     one parameter per run (spec.runs) is refused unless it has `runs`."""
-    kern = coin_kernel(spec)
-    if spec.runs not in (None, runs):
-        raise ValueError(f"the coin has couplings for {spec.runs} lockstep runs, not {runs}")
-    return kern
+    check_runs(spec, runs)
+    return coin_kernel(spec)
 
 
 def _buffer_dtype(spec: CoinSpec, seeds: list[LatticeState]) -> type:

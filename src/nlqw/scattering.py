@@ -26,6 +26,7 @@ from .coins import (
     CoinSpec,
     ConstantCoin,
     _op_norm,
+    check_runs,
     coin_kernel,
     linear_part,
     matrix_kernel,
@@ -62,9 +63,11 @@ class NonConvergenceError(RuntimeError):
 
 
 def _series_args(spec: CoinSpec, t_max: int) -> np.ndarray:
-    """Check shared by the series; returns the coin's linear part C0."""
+    """Check shared by the series, each a walk of one run; returns the
+    coin's linear part C0."""
     if t_max < 1:
         raise ValueError("t_max must be positive")
+    check_runs(spec, 1)
     return linear_part(spec)
 
 
@@ -223,7 +226,11 @@ def _lockstep_pairings(
 ) -> np.ndarray:
     """(2, runs) pairings <N, U0^k delta_{j,0}> of full-horizon series from
     seeds sharing origin and window length, run in the equal lockstep
-    batches of evolution.lockstep_chunks."""
+    batches of evolution.lockstep_chunks.  Their count and width follow
+    from the window and t_max, not from the coin, so a coin with one
+    parameter per run is refused."""
+    if spec.runs is not None:
+        raise ValueError("the pairings' lockstep batches need one coupling for every run")
     c0 = _series_args(spec, t_max)
     kern = coin_kernel(spec)
     return np.concatenate(

@@ -1040,6 +1040,29 @@ class TestLockstep:
         with pytest.raises(ValueError, match="couplings for 2 lockstep runs, not 1"):
             evolve(seeds[0], ComposedCoin(C0, spec), 10)
 
+    def test_every_one_run_entry_point_refuses_a_tuple(self, monkeypatch):
+        from nlqw import apply_coin, nonlinear_residual, scattering, scattering_series
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("a walk ran")
+
+        monkeypatch.setattr(scattering, "walk", no_walk)
+        u0 = random_state(2, 0)
+        spec = RotationPowerCoin(np.pi / 4, (0.8, -0.8), 2)
+        for spec in (spec, ComposedCoin(C0, spec)):
+            for call in (
+                lambda: step(u0, spec),
+                lambda: apply_coin(spec, u0),
+                lambda: nonlinear_residual(u0, spec, t_max=10),
+                lambda: scattering_series(u0, spec, 10),
+            ):
+                with pytest.raises(ValueError, match="couplings for 2 lockstep runs, not 1"):
+                    call()
+        # the pairings' batches vary in width: any per-run coin is refused
+        one = RotationPowerCoin(np.pi / 4, (0.8,), 2)
+        with pytest.raises(ValueError, match="one coupling for every run"):
+            scattering._lockstep_pairings([u0, u0], one, 10, 0)
+
     def test_a_one_run_tuple_is_its_scalar_coin(self):
         u0 = random_state(2, 5)
         one = evolve(u0, RotationPowerCoin(np.pi / 4, (-0.8,), 2), 50).final
